@@ -26,7 +26,7 @@ from repro.memory import (
     RtnTrap,
     apply_read_disturb_batch,
     apply_read_disturb_scalar_reference,
-    build_array,
+    build_vector_array,
 )
 
 #: Wide block of the gated disturb comparison.
@@ -50,7 +50,7 @@ def test_read_disturb_accumulation(benchmark, cell_kernel):
     )
 
     def setup():
-        array = build_array(
+        array = build_vector_array(
             cell_kernel,
             ArrayConfig(n_blocks=1, wordlines_per_block=4, bitlines=32),
             disturb=disturb,

@@ -19,6 +19,7 @@ import numpy as np
 
 from conftest import assert_reproduced, best_of, record_speedup
 
+from repro.device import simulate_transient
 from repro.engine import clear_caches, transient_sweep
 from repro.experiments import run_experiment
 
@@ -37,7 +38,7 @@ def test_erase_transient_reproduction(benchmark):
     assert_reproduced(result)
 
 
-def _erase_sweep(device, bias, initial_charge_c: float, integrator: str):
+def _erase_sweep(device, bias, initial_charge_c: float):
     return transient_sweep(
         device,
         bias,
@@ -45,8 +46,21 @@ def _erase_sweep(device, bias, initial_charge_c: float, integrator: str):
         duration_s=DURATION_S,
         n_samples=N_SAMPLES,
         initial_charge_c=initial_charge_c,
-        integrator=integrator,
     )
+
+
+def _erase_per_lane(device, bias, initial_charge_c: float):
+    """The historical reference: one adaptive solve per erase voltage."""
+    return [
+        simulate_transient(
+            device,
+            bias.with_gate_voltage(float(vgs)),
+            initial_charge_c=initial_charge_c,
+            duration_s=DURATION_S,
+            n_samples=N_SAMPLES,
+        )
+        for vgs in ERASE_VOLTAGES
+    ]
 
 
 def _programmed_charge(sim_session, device) -> float:
@@ -63,22 +77,22 @@ def test_erase_sweep_vector_speedup(sim_session, paper_device):
     q0 = _programmed_charge(sim_session, paper_device)
     clear_caches()
 
-    per_lane = _erase_sweep(paper_device, bias, q0, "per-lane")
-    vector = _erase_sweep(paper_device, bias, q0, "vector")
+    per_lane = _erase_per_lane(paper_device, bias, q0)
+    vector = _erase_sweep(paper_device, bias, q0)
     np.testing.assert_allclose(
-        vector.final_charge_c, per_lane.final_charge_c, rtol=1e-6
+        vector.final_charge_c,
+        [r.final_charge_c for r in per_lane],
+        rtol=1e-6,
     )
     np.testing.assert_allclose(
-        vector.q_equilibrium_c, per_lane.q_equilibrium_c, rtol=1e-9
+        vector.q_equilibrium_c,
+        [r.q_equilibrium_c for r in per_lane],
+        rtol=1e-9,
     )
 
     # Warm caches for both paths, then race them.
-    t_per_lane = best_of(
-        lambda: _erase_sweep(paper_device, bias, q0, "per-lane")
-    )
-    t_vector = best_of(
-        lambda: _erase_sweep(paper_device, bias, q0, "vector")
-    )
+    t_per_lane = best_of(lambda: _erase_per_lane(paper_device, bias, q0))
+    t_vector = best_of(lambda: _erase_sweep(paper_device, bias, q0))
     speedup = t_per_lane / t_vector
     record_speedup(
         "erase_transient_vector_sweep",
@@ -102,11 +116,11 @@ def test_erase_sweep_per_lane_speed(benchmark, sim_session, paper_device):
     """Absolute wall time of the historical per-lane erase sweep."""
     bias = sim_session.context().bias("erase", vgs_v=-15.0)
     q0 = _programmed_charge(sim_session, paper_device)
-    benchmark(_erase_sweep, paper_device, bias, q0, "per-lane")
+    benchmark(_erase_per_lane, paper_device, bias, q0)
 
 
 def test_erase_sweep_vector_speed(benchmark, sim_session, paper_device):
     """Absolute wall time of the vector-state erase sweep."""
     bias = sim_session.context().bias("erase", vgs_v=-15.0)
     q0 = _programmed_charge(sim_session, paper_device)
-    benchmark(_erase_sweep, paper_device, bias, q0, "vector")
+    benchmark(_erase_sweep, paper_device, bias, q0)

@@ -16,7 +16,6 @@ from repro.memory import (
     ArrayConfig,
     PageMappedFtl,
     WorkloadSpec,
-    build_array,
     build_vector_array,
     build_workload,
 )
@@ -32,7 +31,7 @@ SPEEDUP_GATE = 5.0
 
 def test_ftl_random_write_throughput(benchmark, sim_session, cell_kernel):
     def setup():
-        array = build_array(
+        array = build_vector_array(
             cell_kernel,
             ArrayConfig(n_blocks=4, wordlines_per_block=8, bitlines=64),
             seed=23,

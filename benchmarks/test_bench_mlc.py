@@ -17,12 +17,9 @@ from conftest import best_of, record_speedup
 
 from repro.memory import (
     MlcLevels,
-    fresh_cells,
     level_to_bits,
-    program_mlc_page,
     program_mlc_page_batch,
     program_mlc_page_scalar_reference,
-    read_mlc_page,
     read_mlc_page_batch,
 )
 
@@ -35,24 +32,22 @@ SPEEDUP_GATE = 5.0
 
 def test_mlc_page_program_and_read(benchmark, cell_kernel):
     levels = MlcLevels.from_kernel(cell_kernel)
-    targets = [i % 4 for i in range(64)]
+    targets = (np.arange(64) % 4).reshape(1, -1)
     rng = np.random.default_rng(11)
 
     def setup():
-        cells = fresh_cells(
-            cell_kernel, 64, process_sigma_v=0.05, rng=rng
-        )
-        return (cells,), {}
+        vt = cell_kernel.erased_vt_v + rng.normal(0.0, 0.05, size=(1, 64))
+        return (vt,), {}
 
-    def program_and_read(cells):
-        program_mlc_page(cells, levels, targets, rng=rng)
-        return cells, read_mlc_page(cells, levels)
+    def program_and_read(vt):
+        vt, _ = program_mlc_page_batch(vt, levels, targets, rng=rng)
+        return read_mlc_page_batch(vt, levels)
 
-    cells, (msb, lsb) = benchmark.pedantic(
+    msb, lsb = benchmark.pedantic(
         program_and_read, setup=setup, rounds=3, iterations=1
     )
-    for i, level in enumerate(targets):
-        assert (int(msb[i]), int(lsb[i])) == level_to_bits(level)
+    for i, level in enumerate(targets[0]):
+        assert (int(msb[0, i]), int(lsb[0, i])) == level_to_bits(level)
 
 
 def _staircase(cell_kernel, program):

@@ -16,7 +16,7 @@ import numpy as np
 
 from conftest import best_of, record_speedup
 
-from repro.memory import ArrayConfig, build_array, build_vector_array
+from repro.memory import ArrayConfig, build_vector_array
 
 #: Wide-page workload of the gated comparison: page width is what the
 #: per-cell loops pay for and the matrix kernels amortise.
@@ -28,7 +28,7 @@ SPEEDUP_GATE = 5.0
 
 
 def _fresh_array(cell_kernel, seed=21):
-    return build_array(
+    return build_vector_array(
         cell_kernel,
         ArrayConfig(n_blocks=2, wordlines_per_block=8, bitlines=64),
         seed=seed,
@@ -49,7 +49,7 @@ def test_page_program_throughput(benchmark, cell_kernel):
         return array
 
     array = benchmark.pedantic(program, setup=setup, rounds=3, iterations=1)
-    assert len(array.blocks[0].programmed_pages) == 8
+    assert len(array.programmed_pages[0]) == 8
 
 
 def test_page_read_throughput(benchmark, cell_kernel):

@@ -16,7 +16,7 @@ from repro.memory import (
     HammingCode,
     MemoryController,
     PageMappedFtl,
-    build_array,
+    build_vector_array,
     calibrate_kernel,
     zipf_workload,
 )
@@ -34,7 +34,7 @@ def main() -> None:
     )
 
     config = ArrayConfig(n_blocks=6, wordlines_per_block=8, bitlines=64)
-    array = build_array(kernel, config)
+    array = build_vector_array(kernel, config)
     ftl = PageMappedFtl(array, overprovision_blocks=1)
 
     print(
@@ -75,7 +75,7 @@ def main() -> None:
 
     # ECC-protected host interface on a fresh array.
     print("\nECC-protected controller (Hamming SECDED over 32-bit pages):")
-    fresh = build_array(
+    fresh = build_vector_array(
         kernel, ArrayConfig(n_blocks=4, wordlines_per_block=8, bitlines=64)
     )
     controller = MemoryController(

@@ -39,11 +39,7 @@ import numpy as np
 
 from ..device.bias import BiasCondition
 from ..device.floating_gate import BatchTunnelingState, FloatingGateTransistor
-from ..device.transient import (
-    TransientResult,
-    simulate_transient,
-    simulate_transient_batch,
-)
+from ..device.transient import TransientResult, simulate_transient_batch
 from ..electrostatics.gcr import floating_gate_voltage_batch
 from ..errors import ConfigurationError
 from ..materials.graphene import GRAPHENE_WORK_FUNCTION_EV
@@ -269,49 +265,27 @@ def transient_sweep(
     duration_s: float = 1e-3,
     n_samples: int = 200,
     initial_charge_c: float = 0.0,
-    integrator: str = "vector",
 ) -> TransientSweepResult:
     """Run one program/erase transient per gate voltage.
 
-    By default (``integrator="vector"``) every lane advances together
-    as one vector ODE state through
+    Every lane advances together as one vector ODE state through
     :func:`~repro.device.transient.simulate_transient_batch`: a single
     adaptive ``solve_ivp`` call with a declared diagonal Jacobian
     replaces one Python-driven solve per voltage (the benchmarked
-    erase-transient path). ``integrator="rk4"`` uses the fixed-step
-    geometric RK4 fallback (bit-stable against batch composition), and
-    ``integrator="per-lane"`` retains the historical one-adaptive-solve-
-    per-lane reference the vector results are regression-tested against.
+    erase-transient path). The per-lane reference is a loop of
+    :func:`~repro.device.transient.simulate_transient` calls, and the
+    fixed-step fallback is ``simulate_transient_batch(..., method="rk4")``.
     """
     voltages = np.asarray(gate_voltages_v, dtype=float).reshape(-1)
     if voltages.size == 0:
         raise ConfigurationError("need at least one gate voltage")
-    if integrator == "per-lane":
-        results = tuple(
-            simulate_transient(
-                device,
-                bias.with_gate_voltage(float(vgs)),
-                initial_charge_c=initial_charge_c,
-                duration_s=duration_s,
-                n_samples=n_samples,
-            )
-            for vgs in voltages
-        )
-    elif integrator in ("vector", "rk4"):
-        batch = simulate_transient_batch(
-            device,
-            tuple(bias.with_gate_voltage(float(vgs)) for vgs in voltages),
-            initial_charges_c=initial_charge_c,
-            duration_s=duration_s,
-            n_samples=n_samples,
-            method="rk4" if integrator == "rk4" else "lsoda",
-        )
-        results = batch.results
-    else:
-        raise ConfigurationError(
-            f"unknown integrator {integrator!r}; "
-            "use 'vector', 'rk4' or 'per-lane'"
-        )
+    results = simulate_transient_batch(
+        device,
+        tuple(bias.with_gate_voltage(float(vgs)) for vgs in voltages),
+        initial_charges_c=initial_charge_c,
+        duration_s=duration_s,
+        n_samples=n_samples,
+    ).results
     t_sat = np.array(
         [r.t_sat_s if r.t_sat_s is not None else np.nan for r in results]
     )

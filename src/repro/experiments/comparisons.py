@@ -30,6 +30,13 @@ from ..tunneling.channel_hot_electron import (
 from .base import ExperimentResult, ShapeCheck
 
 
+def _format_t_sat(t_sat_s: "float | None") -> str:
+    """A saturation time for a check detail; ``None`` never saturated."""
+    if t_sat_s is None:
+        return "not saturated"
+    return f"{t_sat_s:.2e} s"
+
+
 def run_silicon_comparison(
     ctx: "SimulationContext | None" = None,
     *,
@@ -86,8 +93,8 @@ def run_silicon_comparison(
                 and gnr_transient.t_sat_s is not None
                 and si_transient.t_sat_s < gnr_transient.t_sat_s
             ),
-            detail=f"t_sat: Si {si_transient.t_sat_s:.2e} s vs "
-            f"MLGNR {gnr_transient.t_sat_s:.2e} s",
+            detail=f"t_sat: Si {_format_t_sat(si_transient.t_sat_s)} vs "
+            f"MLGNR {_format_t_sat(gnr_transient.t_sat_s)}",
         ),
         ShapeCheck(
             claim="the MLGNR cell retains charge better (same barrier "

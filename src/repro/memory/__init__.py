@@ -1,7 +1,8 @@
 """NAND flash array built on the MLGNR-CNT cell physics.
 
 The system layer the paper motivates: device-calibrated cells organised
-into NAND strings, pages and blocks, programmed with ISPP, sensed
+into NAND strings, pages and blocks -- one threshold matrix per array
+(:class:`VectorMemoryArray`) -- programmed with ISPP, sensed
 against references, disturbed by pass-voltage stress, protected by
 Hamming ECC and managed by a page-mapped FTL with greedy garbage
 collection.
@@ -10,19 +11,10 @@ collection.
 from .array import (
     ArrayConfig,
     ArrayState,
-    Block,
-    MemoryArray,
     VectorMemoryArray,
-    build_array,
     build_vector_array,
 )
-from .cell import (
-    CellKernel,
-    CellState,
-    MemoryCell,
-    calibrate_kernel,
-    fresh_cells,
-)
+from .cell import CellKernel, calibrate_kernel
 from .controller import ControllerStats, MemoryController
 from .disturb import (
     READ_DISTURB_SCALE,
@@ -45,22 +37,17 @@ from .mlc import (
     MlcLevels,
     bits_to_level,
     level_to_bits,
-    program_mlc_page,
     program_mlc_page_batch,
     program_mlc_page_scalar_reference,
-    read_mlc_page,
     read_mlc_page_batch,
 )
 from .ispp import (
     IsppBatchOutcome,
-    IsppOutcome,
     IsppPolicy,
     ispp_step_batch,
-    program_cells,
     program_page_batch,
     program_page_scalar_reference,
 )
-from .nand_string import NandString, StringOperations, build_string
 from .rtn import (
     RtnTrap,
     derive_trajectory_seed,
@@ -83,18 +70,13 @@ from .workload import (
 )
 
 __all__ = [
-    "CellState",
     "CellKernel",
-    "MemoryCell",
     "calibrate_kernel",
-    "fresh_cells",
     "VtDistribution",
     "raw_bit_error_rate",
     "optimal_read_reference",
     "IsppPolicy",
-    "IsppOutcome",
     "IsppBatchOutcome",
-    "program_cells",
     "ispp_step_batch",
     "program_page_batch",
     "program_page_scalar_reference",
@@ -108,15 +90,9 @@ __all__ = [
     "apply_program_disturb_scalar_reference",
     "apply_read_disturb_batch",
     "apply_read_disturb_scalar_reference",
-    "NandString",
-    "StringOperations",
-    "build_string",
     "ArrayConfig",
     "ArrayState",
-    "Block",
-    "MemoryArray",
     "VectorMemoryArray",
-    "build_array",
     "build_vector_array",
     "HammingCode",
     "interleave_encode",
@@ -129,10 +105,8 @@ __all__ = [
     "GRAY_BITS",
     "bits_to_level",
     "level_to_bits",
-    "program_mlc_page",
     "program_mlc_page_batch",
     "program_mlc_page_scalar_reference",
-    "read_mlc_page",
     "read_mlc_page_batch",
     "ControllerStats",
     "MemoryController",

@@ -5,18 +5,14 @@ granularity mismatch (program by page, erase by block) that motivates
 the flash translation layer. Built entirely on the device-calibrated
 cell kernel.
 
-Two backends share the module:
-
-* the seed object backend (:class:`MemoryArray` over per-cell
-  :class:`~repro.memory.cell.MemoryCell` objects), retained unchanged,
-  and
-* the array-state backend (:class:`VectorMemoryArray` over an
-  :class:`ArrayState` of whole-array ``(blocks, wordlines, bitlines)``
-  threshold matrices), whose program/read/erase/disturb operations run
-  through the vectorized page kernels -- or, with
-  ``scalar_reference=True``, through their bit-exact per-cell Python
-  twins, which is how the parity contracts and the gated benchmarks
-  compare the two paths on identical RNG streams.
+The array is one :class:`VectorMemoryArray` over an
+:class:`ArrayState` of whole-array ``(blocks, wordlines, bitlines)``
+threshold matrices: a NAND string is one bit-line column of a block,
+a page one word-line row. Program/read/erase/disturb operations run
+through the vectorized page kernels -- or, with
+``scalar_reference=True``, through their bit-exact per-cell Python
+twins, which is how the parity contracts and the gated benchmarks
+compare the two paths on identical RNG streams.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from .ispp import (
     program_page_batch,
     program_page_scalar_reference,
 )
-from .nand_string import StringOperations, build_string
 from .sense import SenseAmplifier
 
 
@@ -68,84 +63,6 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if min(self.n_blocks, self.wordlines_per_block, self.bitlines) < 1:
             raise ConfigurationError("array dimensions must be positive")
-
-
-@dataclass
-class Block:
-    """One erase block: a slice of strings plus wear counters."""
-
-    operations: StringOperations
-    erase_count: int = 0
-    programmed_pages: "set[int]" = field(default_factory=set)
-
-    def is_page_free(self, wordline: int) -> bool:
-        return wordline not in self.programmed_pages
-
-
-@dataclass
-class MemoryArray:
-    """The full array: blocks of pages of device-calibrated cells.
-
-    Build with :func:`build_array`; program/read/erase with page and
-    block addressing. Pages must be erased before they are programmed
-    (flash's write-once-then-erase constraint is enforced).
-    """
-
-    config: ArrayConfig
-    blocks: "list[Block]"
-    rng: np.random.Generator
-
-    def _block(self, block: int) -> Block:
-        if not 0 <= block < len(self.blocks):
-            raise MemoryOperationError(f"block {block} out of range")
-        return self.blocks[block]
-
-    def program_page(
-        self, block: int, wordline: int, bits: np.ndarray
-    ) -> None:
-        """Program one page with a bit pattern (1 = erased/inhibited).
-
-        Raises
-        ------
-        MemoryOperationError
-            If the page was already programmed since its last erase, or
-            if ISPP fails to verify every selected cell.
-        """
-        blk = self._block(block)
-        if not blk.is_page_free(wordline):
-            raise MemoryOperationError(
-                f"page ({block}, {wordline}) already programmed; erase first"
-            )
-        outcome = blk.operations.program_page(wordline, bits, self.rng)
-        if not outcome.success:
-            raise MemoryOperationError(
-                f"program-status fail on page ({block}, {wordline}): "
-                f"{len(outcome.failed_cells)} cells never verified"
-            )
-        blk.programmed_pages.add(wordline)
-
-    def read_page(self, block: int, wordline: int) -> np.ndarray:
-        """Read one page into a bit array."""
-        return self._block(block).operations.read_page(wordline, self.rng)
-
-    def erase_block(self, block: int) -> None:
-        """Erase a whole block."""
-        blk = self._block(block)
-        blk.operations.erase_all(self.rng)
-        blk.programmed_pages.clear()
-        blk.erase_count += 1
-
-    def block_erase_counts(self) -> "list[int]":
-        """Erase counter of every block (wear-levelling telemetry)."""
-        return [b.erase_count for b in self.blocks]
-
-    def page_thresholds(self, block: int, wordline: int) -> np.ndarray:
-        """Raw cell thresholds of a page (for distribution analysis)."""
-        cells = self._block(block).operations.page_cells(wordline)
-        return np.array([c.vt_v for c in cells])
-
-
-# ----- array-state (matrix) backend -----------------------------------------
 
 
 @dataclass
@@ -183,13 +100,13 @@ class ArrayState:
 
 @dataclass
 class VectorMemoryArray:
-    """Matrix-backed NAND array: one Vt matrix instead of cell objects.
+    """Matrix-backed NAND array: one Vt matrix holds every cell.
 
-    The same page/block addressing and flash constraints as
-    :class:`MemoryArray` (program by page after erase, erase by block),
-    but every operation is a whole-page or whole-block array program
-    through the ``*_batch`` kernels of :mod:`~repro.memory.ispp`,
-    :mod:`~repro.memory.sense` and :mod:`~repro.memory.disturb`. With
+    Page/block addressing with the flash constraints enforced (program
+    by page after erase, erase by block); every operation is a
+    whole-page or whole-block array program through the ``*_batch``
+    kernels of :mod:`~repro.memory.ispp`, :mod:`~repro.memory.sense`
+    and :mod:`~repro.memory.disturb`. With
     ``scalar_reference=True`` the identical operations route through
     the per-cell ``*_scalar_reference`` loops on the same RNG stream,
     so the two modes are bit-identical -- the contract the randomized
@@ -367,8 +284,8 @@ def build_vector_array(
 ) -> VectorMemoryArray:
     """Manufacture a matrix-backed array from a calibrated cell kernel.
 
-    Same default policies as :func:`build_array` (ISPP verify at 2/3 and
-    the sense reference at 1/2 of the calibrated window). Process
+    Default ISPP verify and sense reference levels sit at 2/3 and 1/2
+    of the calibrated memory window respectively. Process
     offsets are drawn as one ``(blocks, wordlines, bitlines)`` matrix;
     the ``scalar_reference`` flag routes every subsequent *operation*
     through the per-cell reference loops, so two arrays built with the
@@ -407,48 +324,3 @@ def build_vector_array(
         scalar_reference=scalar_reference,
     )
 
-
-def build_array(
-    kernel: CellKernel,
-    config: "ArrayConfig | None" = None,
-    ispp: "IsppPolicy | None" = None,
-    sense: "SenseAmplifier | None" = None,
-    disturb: "DisturbModel | None" = None,
-    seed: int = 7,
-) -> MemoryArray:
-    """Manufacture an array from a calibrated cell kernel.
-
-    Default ISPP verify and sense reference levels are placed at 2/3 and
-    1/2 of the calibrated memory window respectively.
-    """
-    config = config or ArrayConfig()
-    window = kernel.window_v
-    ispp = ispp or IsppPolicy(
-        verify_level_v=kernel.erased_vt_v + 0.67 * window,
-        step_v=max(0.05 * window, 0.1),
-        first_pulse_shift_v=max(0.1 * window, 0.2),
-    )
-    sense = sense or SenseAmplifier(
-        reference_v=kernel.erased_vt_v + 0.5 * window
-    )
-    rng = np.random.default_rng(seed)
-
-    blocks = []
-    for _ in range(config.n_blocks):
-        strings = [
-            build_string(
-                kernel,
-                config.wordlines_per_block,
-                config.process_sigma_v,
-                rng,
-            )
-            for _ in range(config.bitlines)
-        ]
-        blocks.append(
-            Block(
-                operations=StringOperations(
-                    strings=strings, ispp=ispp, sense=sense, disturb=disturb
-                )
-            )
-        )
-    return MemoryArray(config=config, blocks=blocks, rng=rng)

@@ -4,30 +4,21 @@ Running the full tunneling ODE for every cell of a simulated array
 would be prohibitively slow. Instead a :class:`CellKernel` is calibrated
 *once* from the :class:`FloatingGateTransistor` transients -- per-pulse
 threshold shifts for the chosen program/erase pulses -- and then every
-:class:`MemoryCell` replays those shifts with cell-to-cell variability.
+cell of a :class:`~repro.memory.array.VectorMemoryArray` replays those
+shifts with cell-to-cell variability.
 This is the standard compact-model split between device simulation and
 array simulation.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..device.bias import BiasCondition, ERASE_BIAS, PROGRAM_BIAS
 from ..device.floating_gate import FloatingGateTransistor
 from ..device.threshold import ThresholdModel
 from ..device.transient import simulate_transient
-from ..errors import ConfigurationError, MemoryOperationError
-
-
-class CellState(enum.Enum):
-    """Logic state of a cell (paper Section I conventions)."""
-
-    ERASED = 1  # logic '1': electrons depleted
-    PROGRAMMED = 0  # logic '0': electrons stored
+from ..errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -114,84 +105,3 @@ def calibrate_kernel(
         pulse_duration_s=pulse_duration_s,
     )
 
-
-@dataclass
-class MemoryCell:
-    """One cell of the array: a threshold plus wear state.
-
-    Attributes
-    ----------
-    kernel:
-        Shared calibrated behaviour.
-    vt_v:
-        Current threshold of this cell [V].
-    state:
-        Nominal logic state.
-    pe_cycles:
-        Program/erase cycles endured.
-    vt_offset_v:
-        Static process-variation offset of this cell [V].
-    """
-
-    kernel: CellKernel
-    vt_v: float = 0.0
-    state: CellState = CellState.ERASED
-    pe_cycles: int = 0
-    vt_offset_v: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.vt_v == 0.0:
-            self.vt_v = self.kernel.erased_vt_v + self.vt_offset_v
-
-    def erase(self, noise_sigma_v: float = 0.05, rng=None) -> None:
-        """Return the cell to the erased distribution."""
-        noise = 0.0 if rng is None else float(rng.normal(0.0, noise_sigma_v))
-        self.vt_v = self.kernel.erased_vt_v + self.vt_offset_v + noise
-        self.state = CellState.ERASED
-        self.pe_cycles += 1
-
-    def apply_program_pulse(
-        self, pulse_shift_v: "float | None" = None
-    ) -> None:
-        """Apply one program pulse (threshold moves up, capped at full)."""
-        shift = (
-            self.kernel.program_pulse_shift_v
-            if pulse_shift_v is None
-            else pulse_shift_v
-        )
-        if shift < 0.0:
-            raise MemoryOperationError("program pulses cannot lower Vt")
-        ceiling = self.kernel.programmed_vt_v + self.vt_offset_v
-        self.vt_v = min(self.vt_v + shift, ceiling)
-
-    def mark_programmed(self) -> None:
-        """Record the logic state after a verified program."""
-        self.state = CellState.PROGRAMMED
-
-    def disturb(self, delta_vt_v: float) -> None:
-        """Apply a (small, signed) disturb shift."""
-        self.vt_v += delta_vt_v
-
-    def read_state(self, reference_v: float) -> CellState:
-        """Sense against a reference: above = programmed '0'."""
-        return (
-            CellState.PROGRAMMED
-            if self.vt_v > reference_v
-            else CellState.ERASED
-        )
-
-
-def fresh_cells(
-    kernel: CellKernel,
-    n: int,
-    process_sigma_v: float = 0.08,
-    rng: "np.random.Generator | None" = None,
-) -> "list[MemoryCell]":
-    """Manufacture ``n`` erased cells with process variation."""
-    if n < 1:
-        raise ConfigurationError("need at least one cell")
-    rng = rng or np.random.default_rng(0)
-    offsets = rng.normal(0.0, process_sigma_v, size=n)
-    return [
-        MemoryCell(kernel=kernel, vt_offset_v=float(off)) for off in offsets
-    ]

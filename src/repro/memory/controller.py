@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, MemoryOperationError
-from .array import MemoryArray
 from .ecc import (
     HammingCode,
     interleave_decode_batch,

@@ -8,9 +8,9 @@ A minimal but complete page-mapped FTL:
 * wear-aware free-block allocation (lowest erase count first),
 * write-amplification telemetry.
 
-The FTL operates purely on the :class:`repro.memory.array.MemoryArray`
-interface, so every logical write really lands in device-calibrated
-cells.
+The FTL operates purely on the
+:class:`repro.memory.array.VectorMemoryArray` interface, so every
+logical write really lands in device-calibrated cells.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, MemoryOperationError
-from .array import MemoryArray
+from .array import VectorMemoryArray
 
 
 @dataclass
@@ -53,7 +53,7 @@ class PageMappedFtl:
         Blocks withheld from the logical capacity as GC headroom.
     """
 
-    array: MemoryArray
+    array: VectorMemoryArray
     overprovision_blocks: int = 1
     stats: FtlStats = field(default_factory=FtlStats)
 

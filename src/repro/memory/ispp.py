@@ -5,17 +5,11 @@ have crossed the verify level are inhibited from further pulses, which
 squeezes the programmed distribution to roughly the ISPP step size
 regardless of cell-to-cell speed variation.
 
-Two implementations share the module:
-
-* the seed object path (:func:`program_cells` over
-  :class:`~repro.memory.cell.MemoryCell` lists), retained for the
-  legacy :class:`~repro.memory.array.MemoryArray`, and
-* the array-state path: :func:`ispp_step_batch` /
-  :func:`program_page_batch` advance a whole ``(pages, cells)``
-  threshold matrix per pulse with per-cell verify masks, and
-  :func:`program_page_scalar_reference` replays the identical RNG
-  stream through per-cell Python loops -- the bit-exact parity twin
-  the randomized contract suites enforce.
+:func:`ispp_step_batch` / :func:`program_page_batch` advance a whole
+``(pages, cells)`` threshold matrix per pulse with per-cell verify
+masks, and :func:`program_page_scalar_reference` replays the identical
+RNG stream through per-cell Python loops -- the bit-exact parity twin
+the randomized contract suites enforce.
 
 RNG contract of the batch path: every pulse draws one noise value for
 **every** cell of the matrix (page-major order), whether or not the
@@ -31,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, MemoryOperationError
-from .cell import CellState, MemoryCell
 
 
 @dataclass(frozen=True)
@@ -66,80 +59,6 @@ class IsppPolicy:
             raise ConfigurationError("need at least one pulse")
         if self.noise_sigma_v < 0.0:
             raise ConfigurationError("noise sigma cannot be negative")
-
-
-@dataclass(frozen=True)
-class IsppOutcome:
-    """Result of programming one page worth of cells.
-
-    Attributes
-    ----------
-    pulses_used:
-        Pulses issued before every selected cell verified.
-    failed_cells:
-        Indices of cells that never reached the verify level.
-    final_vt_v:
-        Threshold of every selected cell after the operation.
-    """
-
-    pulses_used: int
-    failed_cells: "tuple[int, ...]"
-    final_vt_v: np.ndarray
-
-    @property
-    def success(self) -> bool:
-        return not self.failed_cells
-
-
-def program_cells(
-    cells: "list[MemoryCell]",
-    select_mask: "list[bool]",
-    policy: IsppPolicy,
-    rng: "np.random.Generator | None" = None,
-) -> IsppOutcome:
-    """Program the selected cells to the verify level with ISPP.
-
-    Cells with ``select_mask[i]`` False are inhibited (stay erased).
-
-    Raises
-    ------
-    MemoryOperationError
-        If the mask length does not match the cell list.
-    """
-    if len(select_mask) != len(cells):
-        raise MemoryOperationError("mask length must match cell count")
-    rng = rng or np.random.default_rng(1)
-
-    pending = [
-        i for i, (cell, sel) in enumerate(zip(cells, select_mask)) if sel
-    ]
-    pulses = 0
-    while pending and pulses < policy.max_pulses:
-        shift_base = (
-            policy.first_pulse_shift_v if pulses == 0 else policy.step_v
-        )
-        still_pending = []
-        for i in pending:
-            noise = float(rng.normal(0.0, policy.noise_sigma_v))
-            cells[i].apply_program_pulse(max(shift_base + noise, 0.0))
-            if cells[i].vt_v >= policy.verify_level_v:
-                cells[i].mark_programmed()
-            else:
-                still_pending.append(i)
-        pending = still_pending
-        pulses += 1
-
-    final = np.array(
-        [cells[i].vt_v for i in range(len(cells))], dtype=float
-    )
-    return IsppOutcome(
-        pulses_used=pulses,
-        failed_cells=tuple(pending),
-        final_vt_v=final,
-    )
-
-
-# ----- array-state (matrix) path --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -251,7 +170,7 @@ def program_page_scalar_reference(
     rng: np.random.Generator,
     ceiling_v: "np.ndarray | float",
 ) -> IsppBatchOutcome:
-    """The seed per-cell ISPP loop under the batch RNG contract.
+    """The per-cell ISPP loop under the batch RNG contract.
 
     Identical semantics to :func:`program_page_batch` -- same pulse
     schedule, same per-cell noise draws in page-major order -- executed

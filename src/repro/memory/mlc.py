@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, MemoryOperationError
-from .cell import CellKernel, MemoryCell
+from .cell import CellKernel
 from .ispp import (
     IsppPolicy,
     _as_page_matrix,
-    program_cells,
     program_page_batch,
     program_page_scalar_reference,
 )
@@ -104,69 +103,6 @@ def level_to_bits(level: int) -> "tuple[int, int]":
     return GRAY_BITS[level]
 
 
-def program_mlc_page(
-    cells: "list[MemoryCell]",
-    levels: MlcLevels,
-    target_levels: "list[int]",
-    ispp_step_v: float = 0.15,
-    noise_sigma_v: float = 0.02,
-    rng: "np.random.Generator | None" = None,
-) -> int:
-    """Program a page of erased cells to per-cell MLC levels.
-
-    Levels are programmed lowest-first (L1, then L2, then L3), each
-    pass ISPP-verifying only the cells targeting that level -- the
-    standard staircase that keeps already-placed levels undisturbed.
-    Returns the total pulse count.
-
-    Raises
-    ------
-    MemoryOperationError
-        If any cell fails verify, or targets are malformed.
-    """
-    if len(target_levels) != len(cells):
-        raise MemoryOperationError("one target level per cell required")
-    if any(not 0 <= lv < 4 for lv in target_levels):
-        raise MemoryOperationError("levels must be 0-3")
-    rng = rng or np.random.default_rng(31)
-
-    total_pulses = 0
-    for level in (1, 2, 3):
-        mask = [lv == level for lv in target_levels]
-        if not any(mask):
-            continue
-        policy = IsppPolicy(
-            verify_level_v=levels.targets_v[level],
-            step_v=ispp_step_v,
-            first_pulse_shift_v=ispp_step_v,
-            noise_sigma_v=noise_sigma_v,
-            max_pulses=200,
-        )
-        outcome = program_cells(cells, mask, policy, rng)
-        if not outcome.success:
-            raise MemoryOperationError(
-                f"MLC level {level} failed verify on "
-                f"{len(outcome.failed_cells)} cells"
-            )
-        total_pulses += outcome.pulses_used
-    return total_pulses
-
-
-def read_mlc_page(
-    cells: "list[MemoryCell]", levels: MlcLevels
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Read a page back as (msb_bits, lsb_bits) arrays."""
-    msb = np.empty(len(cells), dtype=np.uint8)
-    lsb = np.empty(len(cells), dtype=np.uint8)
-    for i, cell in enumerate(cells):
-        m, l = level_to_bits(levels.level_of(cell.vt_v))
-        msb[i], lsb[i] = m, l
-    return msb, lsb
-
-
-# ----- array-state (matrix) path --------------------------------------------
-
-
 def _mlc_policy(
     levels: MlcLevels, level: int, ispp_step_v: float, noise_sigma_v: float
 ) -> IsppPolicy:
@@ -228,10 +164,10 @@ def program_mlc_page_batch(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Program a ``(pages, cells)`` threshold matrix to per-cell MLC levels.
 
-    The vectorized form of :func:`program_mlc_page`: levels are
-    programmed lowest-first (L1, L2, L3), each pass running the whole
-    matrix through :func:`~repro.memory.ispp.program_page_batch` with
-    that level's verify mask, so already-placed levels stay undisturbed.
+    Levels are programmed lowest-first (L1, L2, L3) -- the standard
+    staircase -- each pass running the whole matrix through
+    :func:`~repro.memory.ispp.program_page_batch` with that level's
+    verify mask, so already-placed levels stay undisturbed.
     Returns ``(final_vt_v, pulses_per_page)``; a level whose verify
     fails anywhere raises :class:`~repro.errors.MemoryOperationError`.
     A staircase pass with no targeted cells anywhere is skipped without
@@ -259,7 +195,7 @@ def program_mlc_page_scalar_reference(
     rng: "np.random.Generator | None" = None,
     ceiling_v: "np.ndarray | float" = np.inf,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """The seed per-cell MLC staircase; bit-exact twin of the batch path.
+    """The per-cell MLC staircase; bit-exact twin of the batch path.
 
     Runs the identical level schedule through the per-cell Python loop
     of :func:`~repro.memory.ispp.program_page_scalar_reference`, so a
@@ -284,8 +220,7 @@ def read_mlc_page_batch(
 
     Three vectorized reference comparisons classify every cell of the
     ``(pages, cells)`` matrix at once, then the Gray lookup tables map
-    level indices to bit planes -- the matrix form of
-    :func:`read_mlc_page`.
+    level indices to bit planes.
     """
     level = levels.level_of_batch(_as_page_matrix(vt_v, "vt_v"))
     return _GRAY_MSB[level], _GRAY_LSB[level]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .cell import CellState, MemoryCell
 
 
 @dataclass(frozen=True)
@@ -36,38 +35,6 @@ class SenseAmplifier:
         if self.noise_sigma_v < 0.0:
             raise ConfigurationError("noise sigma cannot be negative")
 
-    def sense(
-        self, cell: MemoryCell, rng: "np.random.Generator | None" = None
-    ) -> int:
-        """Read one cell; returns the stored *bit* (1 = erased).
-
-        Follows the paper's state convention: erased = logic '1',
-        programmed = logic '0'.
-        """
-        noise = 0.0
-        if rng is not None and self.noise_sigma_v > 0.0:
-            noise = float(rng.normal(0.0, self.noise_sigma_v))
-        state = cell.read_state(self.reference_v + noise)
-        return 1 if state is CellState.ERASED else 0
-
-    def sense_page(
-        self,
-        cells: "list[MemoryCell]",
-        rng: "np.random.Generator | None" = None,
-    ) -> np.ndarray:
-        """Read a page of cells into a bit array."""
-        return np.array([self.sense(c, rng) for c in cells], dtype=np.uint8)
-
-    def margin_v(self, cell: MemoryCell) -> float:
-        """Distance of a cell's threshold from the reference [V].
-
-        Positive margins are robust reads; the sign says which side of
-        the reference the cell sits on.
-        """
-        return abs(cell.vt_v - self.reference_v)
-
-    # ----- array-state (matrix) path ------------------------------------
-
     def sense_page_batch(
         self,
         vt_v: np.ndarray,
@@ -79,7 +46,8 @@ class SenseAmplifier:
         vectorized draw in C order -- the stream the scalar reference
         replays cell by cell) and compares every threshold against its
         noisy reference at once. Returns ``uint8`` bits of ``vt_v``'s
-        shape, 1 = erased, matching :meth:`sense` exactly.
+        shape, following the paper's state convention: erased = logic
+        '1', programmed = logic '0'.
         """
         vt = np.asarray(vt_v, dtype=float)
         reference = self.reference_v
@@ -94,7 +62,7 @@ class SenseAmplifier:
         vt_v: np.ndarray,
         rng: "np.random.Generator | None" = None,
     ) -> np.ndarray:
-        """The seed per-cell sense loop (bit-exact parity twin).
+        """The per-cell sense loop (bit-exact parity twin).
 
         Same noise stream and comparison as :meth:`sense_page_batch`,
         executed one cell at a time in C order.

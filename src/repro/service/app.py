@@ -417,9 +417,9 @@ class ServiceApp:
         """POST /admin/verify: integrity-scan the store, report corruption.
 
         Body is an optional ``{"repair": bool}`` object; with
-        ``repair`` true, corrupt objects are moved to ``quarantine/``
-        and the index is rebuilt. The scan walks every object file, so
-        it runs off the event loop; serving continues meanwhile.
+        ``repair`` true, corrupt objects are moved to ``quarantine/``.
+        The scan walks every object file, so it runs off the event
+        loop; serving continues meanwhile.
         """
         options: "dict[str, Any]" = {}
         if body.strip():

@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--repair",
         action="store_true",
-        help="quarantine corrupt objects and rebuild the index",
+        help="move corrupt objects to quarantine/",
     )
 
     for name, help_text in (

@@ -231,8 +231,7 @@ class SimulationServiceClient:
 
         Returns the server's verify report (``scanned`` / ``intact`` /
         ``legacy`` / ``corrupt`` / ``quarantined`` / ``ok``); with
-        ``repair`` true, corrupt objects are quarantined server-side
-        and the index rebuilt.
+        ``repair`` true, corrupt objects are quarantined server-side.
         """
         return self._request(
             "POST", "/admin/verify", body={"repair": bool(repair)}

@@ -8,16 +8,15 @@ directory. Layout::
 
     <root>/
       objects/<hh>/<hash>.json    # one StoreRecord per result
-      index.json                  # acceleration/metadata index
+      quarantine/                 # objects that failed an integrity check
 
-Object files are the source of truth: their path is derivable from the
-hash alone, every write goes through a temp file + :func:`os.replace`
-(atomic on POSIX), and the store is **first-writer-wins** -- a second
-``put`` under an existing hash is a no-op, which is safe because
-content addressing makes all writers' payloads equal by construction.
-The index is a rebuildable acceleration layer (:meth:`ResultStore.reindex`
-recovers it by scanning ``objects/``), so a crash between an object
-write and an index write never loses or corrupts a result.
+Object files are the only record of what is stored: their path is
+derivable from the hash alone, every write goes through a temp file +
+:func:`os.replace` (atomic on POSIX), and the store is
+**first-writer-wins** -- a second ``put`` under an existing hash is a
+no-op, which is safe because content addressing makes all writers'
+payloads equal by construction. Listings, counts, pruning and
+verification all scan ``objects/``.
 
 :func:`run_plan_with_store` is the runner-side integration: execute a
 plan serving hits from a store, computing only misses, and optionally
@@ -107,8 +106,8 @@ class StoreRecord:
 class ResultStore:
     """A content-addressed directory of scenario results.
 
-    Thread-safe within a process (one lock serialises index updates)
-    and safe across processes by construction: object writes are
+    Thread-safe within a process (one lock serialises pruning and
+    repair) and safe across processes by construction: object writes are
     atomic renames at paths derived from the content hash, so
     concurrent writers of the same hash converge on one valid file.
     """
@@ -118,7 +117,6 @@ class ResultStore:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.quarantine_dir = self.root / "quarantine"
-        self.index_path = self.root / "index.json"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self.corrupt_detected = 0
@@ -138,7 +136,7 @@ class ResultStore:
         return self.object_path(hash_).is_file()
 
     def __len__(self) -> int:
-        """Number of stored results (by scanning objects, not the index)."""
+        """Number of stored results (by scanning ``objects/``)."""
         return sum(1 for _ in self.objects_dir.glob("*/*.json"))
 
     def hashes(self) -> "tuple[str, ...]":
@@ -158,35 +156,16 @@ class ResultStore:
         silently served, and because the file is gone the hash reads
         as a plain miss (recompute) from then on.
         """
-        from .. import io
-
         path = self.object_path(hash_)
         if not path.is_file():
             return None
-        try:
-            data = io.load_json(path)
-            record = io.store_record_from_dict(data)
-        except ConfigurationError as exc:
+        record, defect = self._inspect(path)
+        if defect is not None:
             moved = self._quarantine(path)
             raise StoreIntegrityError(
-                f"store object {path} is unreadable ({exc}); "
+                f"store object {path} {defect.message}; "
                 f"quarantined to {moved}"
-            ) from exc
-        if record.hash != hash_:
-            moved = self._quarantine(path)
-            raise StoreIntegrityError(
-                f"store object {path} claims hash {record.hash[:12]}..., "
-                f"filed under {hash_[:12]}...; quarantined to {moved}"
-            )
-        if record.checksum:
-            recomputed = result_checksum(data["scenario_result"])
-            if recomputed != record.checksum:
-                moved = self._quarantine(path)
-                raise StoreIntegrityError(
-                    f"store object {path} fails its content checksum "
-                    f"({record.checksum} recorded, {recomputed} actual); "
-                    f"quarantined to {moved}"
-                )
+            ) from defect.cause
         return record
 
     def get(self, hash_: str) -> "ScenarioResult | None":
@@ -250,7 +229,6 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self._index_add(record)
         return record
 
     def prune(
@@ -307,7 +285,6 @@ class ResultStore:
                     pass
             if doomed:
                 self._remove_empty_shards()
-                self._index_write(self._scan_index())
             return tuple(doomed)
 
     def _remove_empty_shards(self) -> None:
@@ -337,6 +314,52 @@ class ResultStore:
 
     # ----- integrity (checksums, verify, quarantine) ----------------------
 
+    def _inspect(
+        self, path: Path
+    ) -> "tuple[StoreRecord | None, _Defect | None]":
+        """Parse one object file and run every integrity check on it.
+
+        The one quarantine decision behind :meth:`get_record` and
+        :meth:`verify`: the object must parse, must claim the hash its
+        filename carries, and -- when it records a checksum -- must
+        match its :func:`result_checksum`. Returns ``(record, None)``
+        for a sound object (legacy checksum-less ones included) and
+        ``(None, defect)`` for one that must not be served.
+        """
+        from .. import io
+
+        try:
+            data = io.load_json(path)
+            record = io.store_record_from_dict(data)
+        except ConfigurationError as exc:
+            return None, _Defect(
+                reason=f"unreadable: {exc}",
+                message=f"is unreadable ({exc})",
+                cause=exc,
+            )
+        if record.hash != path.stem:
+            return None, _Defect(
+                reason=(
+                    f"hash mismatch: object claims "
+                    f"{record.hash[:12]}..., filed as {path.stem[:12]}..."
+                ),
+                message=(
+                    f"claims hash {record.hash[:12]}..., "
+                    f"filed under {path.stem[:12]}..."
+                ),
+            )
+        if record.checksum:
+            recomputed = result_checksum(data["scenario_result"])
+            if recomputed != record.checksum:
+                return None, _Defect(
+                    reason="content checksum mismatch",
+                    message=(
+                        f"fails its content checksum ({record.checksum} "
+                        f"recorded, {recomputed} actual)"
+                    ),
+                )
+        return record, None
+
     def _quarantine(self, path: Path) -> Path:
         """Move a corrupt object out of ``objects/`` so it cannot serve."""
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -359,48 +382,32 @@ class ResultStore:
         ``POST /admin/verify``: each ``objects/<hh>/<hash>.json`` must
         parse, claim the hash its filename carries, and match its
         recorded :func:`result_checksum`. With ``repair=True`` every
-        failing object is moved to ``quarantine/`` (and the index
-        rewritten); with the default ``repair=False`` the scan only
-        reports. Objects written before checksums existed are counted
-        as ``legacy`` -- readable and served, but unverifiable.
+        failing object is moved to ``quarantine/``; with the default
+        ``repair=False`` the scan only reports. Objects written before
+        checksums existed are counted as ``legacy`` -- readable and
+        served, but unverifiable.
         """
-        from .. import io
-
         corrupt: "list[CorruptObject]" = []
         quarantined: "list[str]" = []
         scanned = 0
         legacy = 0
         for path in sorted(self.objects_dir.glob("*/*.json")):
             scanned += 1
-            reason: "str | None" = None
-            try:
-                data = io.load_json(path)
-                record = io.store_record_from_dict(data)
-            except ConfigurationError as exc:
-                reason = f"unreadable: {exc}"
-            else:
-                if record.hash != path.stem:
-                    reason = (
-                        f"hash mismatch: object claims "
-                        f"{record.hash[:12]}..., filed as {path.stem[:12]}..."
-                    )
-                elif not record.checksum:
+            record, defect = self._inspect(path)
+            if defect is None:
+                if not record.checksum:
                     legacy += 1
-                elif result_checksum(data["scenario_result"]) != (
-                    record.checksum
-                ):
-                    reason = "content checksum mismatch"
-            if reason is None:
                 continue
             corrupt.append(
-                CorruptObject(name=path.stem, path=str(path), reason=reason)
+                CorruptObject(
+                    name=path.stem, path=str(path), reason=defect.reason
+                )
             )
             if repair:
                 quarantined.append(str(self._quarantine(path)))
         if quarantined:
             with self._lock:
                 self._remove_empty_shards()
-                self._index_write(self._scan_index())
         return VerifyReport(
             scanned=scanned,
             intact=scanned - len(corrupt),
@@ -409,97 +416,25 @@ class ResultStore:
             quarantined=tuple(quarantined),
         )
 
-    # ----- the index (rebuildable acceleration layer) --------------------
-
-    def index(self) -> "dict[str, dict[str, Any]]":
-        """The metadata index: hash -> summary (experiment id, time).
-
-        Reads ``index.json`` when present and consistent; a missing or
-        corrupt index is rebuilt from the objects **and persisted**, so
-        one bad write degrades exactly one call to a full scan rather
-        than every call thereafter. The index is never load-bearing for
-        :meth:`get`/:meth:`put` correctness.
-        """
-        entries = self._read_index()
-        if entries is not None:
-            return entries
-        return self.reindex()
-
-    def reindex(self) -> "dict[str, dict[str, Any]]":
-        """Rebuild ``index.json`` from the object files and return it."""
-        with self._lock:
-            fresh = self._scan_index()
-            self._index_write(fresh)
-            return fresh
-
-    def _read_index(self) -> "dict[str, dict[str, Any]] | None":
-        """``index.json`` as written, or ``None`` when absent/corrupt."""
-        if not self.index_path.is_file():
-            return None
-        try:
-            data = json.loads(self.index_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return None
-        return data if isinstance(data, dict) else None
-
-    def _scan_index(self) -> "dict[str, dict[str, Any]]":
-        from .. import io
-
-        entries: "dict[str, dict[str, Any]]" = {}
-        for path in sorted(self.objects_dir.glob("*/*.json")):
-            try:
-                data = io.load_json(path)
-            except ConfigurationError:
-                continue
-            result = data.get("scenario_result", {})
-            scenario = result.get("scenario", {})
-            entries[path.stem] = {
-                "experiment_id": scenario.get("experiment_id", ""),
-                "label": scenario.get("label"),
-                "code_version": data.get("code_version", ""),
-                "created_at": data.get("created_at", 0.0),
-            }
-        return entries
-
     def _created_at(self, path: Path) -> float:
         try:
             return float(json.loads(path.read_text()).get("created_at", 0.0))
         except (json.JSONDecodeError, OSError, ValueError):
             return 0.0
 
-    def _index_add(self, record: StoreRecord) -> None:
-        with self._lock:
-            entries = self._read_index()
-            if entries is None:
-                # Missing or corrupt index: the freshly written object
-                # is already on disk, so a scan self-heals it too.
-                entries = self._scan_index()
-            else:
-                entries[record.hash] = {
-                    "experiment_id": (
-                        record.scenario_result.scenario.experiment_id
-                    ),
-                    "label": record.scenario_result.scenario.label,
-                    "code_version": record.code_version,
-                    "created_at": record.created_at,
-                }
-            self._index_write(entries)
 
-    def _index_write(self, entries: "Mapping[str, Any]") -> None:
-        payload = json.dumps(dict(entries), indent=2, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".index-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload + "\n")
-            os.replace(tmp_name, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+@dataclass(frozen=True)
+class _Defect:
+    """Why :meth:`ResultStore._inspect` refused an object.
+
+    ``reason`` is the short form a :class:`CorruptObject` reports,
+    ``message`` the clause a :class:`StoreIntegrityError` carries, and
+    ``cause`` the parse error behind an unreadable object.
+    """
+
+    reason: str
+    message: str
+    cause: "Exception | None" = None
 
 
 @dataclass(frozen=True)

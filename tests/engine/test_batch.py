@@ -8,6 +8,7 @@ from repro.device import (
     PROGRAM_BIAS,
     FloatingGateTransistor,
     simulate_transient,
+    simulate_transient_batch,
 )
 from repro.electrostatics import floating_gate_voltage_simple
 from repro.engine import (
@@ -199,21 +200,25 @@ class TestTransientSweepIntegrators:
             [14.0, 16.0],
             duration_s=1e-3,
             n_samples=24,
-            integrator="vector",
         )
-        per = transient_sweep(
-            device,
-            PROGRAM_BIAS,
-            [14.0, 16.0],
-            duration_s=1e-3,
-            n_samples=24,
-            integrator="per-lane",
+        per = [
+            simulate_transient(
+                device,
+                PROGRAM_BIAS.with_gate_voltage(vgs),
+                duration_s=1e-3,
+                n_samples=24,
+            )
+            for vgs in (14.0, 16.0)
+        ]
+        np.testing.assert_allclose(
+            vec.final_charge_c,
+            [r.final_charge_c for r in per],
+            rtol=1e-6,
         )
         np.testing.assert_allclose(
-            vec.final_charge_c, per.final_charge_c, rtol=1e-6
-        )
-        np.testing.assert_allclose(
-            vec.q_equilibrium_c, per.q_equilibrium_c, rtol=1e-12
+            vec.q_equilibrium_c,
+            [r.q_equilibrium_c for r in per],
+            rtol=1e-12,
         )
 
     def test_rk4_matches_vector(self, device):
@@ -223,18 +228,18 @@ class TestTransientSweepIntegrators:
             [15.0, 17.0],
             duration_s=1e-3,
             n_samples=24,
-            integrator="vector",
         )
-        rk4 = transient_sweep(
+        rk4 = simulate_transient_batch(
             device,
-            PROGRAM_BIAS,
-            [15.0, 17.0],
+            tuple(PROGRAM_BIAS.with_gate_voltage(v) for v in (15.0, 17.0)),
             duration_s=1e-3,
             n_samples=24,
-            integrator="rk4",
+            method="rk4",
         )
         np.testing.assert_allclose(
-            rk4.final_charge_c, vec.final_charge_c, rtol=1e-4
+            [r.final_charge_c for r in rk4.results],
+            vec.final_charge_c,
+            rtol=1e-4,
         )
 
     def test_single_voltage_stays_bit_identical(self, device):
@@ -255,9 +260,3 @@ class TestTransientSweepIntegrators:
         np.testing.assert_array_equal(
             sweep.results[0].charge_c, solo.charge_c
         )
-
-    def test_unknown_integrator_rejected(self, device):
-        with pytest.raises(ConfigurationError):
-            transient_sweep(
-                device, PROGRAM_BIAS, [15.0], integrator="magic"
-            )

@@ -27,6 +27,14 @@ class TestSiliconComparison:
         assert gnr_phi == pytest.approx(3.61, abs=0.01)
         assert si_phi == pytest.approx(3.10, abs=0.01)
 
+    def test_short_pulse_fails_speed_check_readably(self):
+        """A pulse too short for the MLGNR cell to saturate is a failed
+        check with a readable detail, not a TypeError."""
+        result = run_silicon_comparison(n_points=5, duration_s=1e-4)
+        speed = next(c for c in result.checks if "faster" in c.claim)
+        assert not speed.passed
+        assert "MLGNR not saturated" in speed.detail
+
 
 class TestCheComparison:
     @pytest.fixture(scope="class")

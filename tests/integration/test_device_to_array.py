@@ -10,7 +10,7 @@ from repro.memory import (
     HammingCode,
     MemoryController,
     PageMappedFtl,
-    build_array,
+    build_vector_array,
     calibrate_kernel,
 )
 
@@ -41,7 +41,7 @@ class TestArrayWithDisturbs:
         disturb = DisturbModel(
             device, pass_voltage_v=9.0, event_duration_s=1e-3
         )
-        array = build_array(
+        array = build_vector_array(
             cell_kernel,
             ArrayConfig(n_blocks=1, wordlines_per_block=4, bitlines=8),
             disturb=disturb,
@@ -57,7 +57,7 @@ class TestArrayWithDisturbs:
     def test_disturb_small_enough_to_not_flip_data(self, cell_kernel):
         device = FloatingGateTransistor()
         disturb = DisturbModel(device, pass_voltage_v=6.0)
-        array = build_array(
+        array = build_vector_array(
             cell_kernel,
             ArrayConfig(n_blocks=1, wordlines_per_block=8, bitlines=16),
             disturb=disturb,
@@ -73,7 +73,7 @@ class TestArrayWithDisturbs:
 
 class TestFullStack:
     def test_controller_over_physical_cells_end_to_end(self, cell_kernel, rng):
-        array = build_array(
+        array = build_vector_array(
             cell_kernel,
             ArrayConfig(n_blocks=4, wordlines_per_block=4, bitlines=39),
         )

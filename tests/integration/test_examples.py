@@ -13,7 +13,12 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
-FAST_EXAMPLES = ["quickstart.py", "band_diagram_tour.py", "scenario_service.py"]
+FAST_EXAMPLES = [
+    "quickstart.py",
+    "band_diagram_tour.py",
+    "scenario_service.py",
+    "nand_array_demo.py",
+]
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryOperationError
-from repro.memory import ArrayConfig, build_array
+from repro.memory import ArrayConfig, build_vector_array
 
 
 @pytest.fixture()
 def array(cell_kernel):
-    return build_array(
+    return build_vector_array(
         cell_kernel,
         ArrayConfig(n_blocks=3, wordlines_per_block=4, bitlines=16),
     )

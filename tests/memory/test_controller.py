@@ -9,13 +9,13 @@ from repro.memory import (
     HammingCode,
     MemoryController,
     PageMappedFtl,
-    build_array,
+    build_vector_array,
 )
 
 
 @pytest.fixture()
 def controller(cell_kernel):
-    array = build_array(
+    array = build_vector_array(
         cell_kernel,
         ArrayConfig(n_blocks=3, wordlines_per_block=4, bitlines=39),
     )
@@ -56,12 +56,13 @@ class TestEccPath:
         # the mapped page.
         ppage = controller.ftl._map[2]
         block, wl = controller.ftl._physical_address(ppage)
-        cell = controller.ftl.array.blocks[block].operations.page_cells(wl)[5]
-        kernel = cell.kernel
-        if cell.vt_v > kernel.erased_vt_v + 0.5 * kernel.window_v:
-            cell.vt_v = kernel.erased_vt_v  # programmed -> erased flip
+        array = controller.ftl.array
+        kernel = array.kernel
+        vt = array.state.vt_v[block, wl]
+        if vt[5] > kernel.erased_vt_v + 0.5 * kernel.window_v:
+            vt[5] = kernel.erased_vt_v  # programmed -> erased flip
         else:
-            cell.vt_v = kernel.programmed_vt_v
+            vt[5] = kernel.programmed_vt_v
         decoded = controller.read(2)
         assert (decoded == payload).all()
         assert controller.stats.bits_corrected == 1
@@ -73,7 +74,7 @@ class TestValidation:
             controller.write(0, rng.integers(0, 2, 31).astype(np.uint8))
 
     def test_rejects_code_too_big_for_page(self, cell_kernel):
-        array = build_array(
+        array = build_vector_array(
             cell_kernel,
             ArrayConfig(n_blocks=2, wordlines_per_block=2, bitlines=16),
         )

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, MemoryOperationError
-from repro.memory import ArrayConfig, PageMappedFtl, build_array
+from repro.memory import ArrayConfig, PageMappedFtl, build_vector_array
 
 
 def make_ftl(cell_kernel, blocks=3, pages=4, bits=16, op=1):
-    array = build_array(
+    array = build_vector_array(
         cell_kernel,
         ArrayConfig(
             n_blocks=blocks, wordlines_per_block=pages, bitlines=bits
@@ -124,14 +124,14 @@ class TestWearLevelling:
 
 class TestValidation:
     def test_rejects_zero_overprovisioning(self, cell_kernel):
-        array = build_array(
+        array = build_vector_array(
             cell_kernel, ArrayConfig(n_blocks=2, wordlines_per_block=2, bitlines=8)
         )
         with pytest.raises(ConfigurationError):
             PageMappedFtl(array, overprovision_blocks=0)
 
     def test_rejects_full_overprovisioning(self, cell_kernel):
-        array = build_array(
+        array = build_vector_array(
             cell_kernel, ArrayConfig(n_blocks=2, wordlines_per_block=2, bitlines=8)
         )
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, MemoryOperationError
-from repro.memory import CellState, IsppPolicy, fresh_cells, program_cells
+from repro.memory import IsppPolicy, program_page_batch
 
 
 @pytest.fixture()
@@ -17,35 +17,42 @@ def policy(cell_kernel):
     )
 
 
+def fresh_page(cell_kernel, n, process_sigma_v=0.08, rng=None):
+    """One erased page of ``n`` cells and its per-cell Vt ceiling."""
+    rng = rng or np.random.default_rng(0)
+    offsets = rng.normal(0.0, process_sigma_v, size=(1, n))
+    return (
+        cell_kernel.erased_vt_v + offsets,
+        cell_kernel.programmed_vt_v + offsets,
+    )
+
+
 class TestProgramming:
     def test_all_selected_cells_verify(self, cell_kernel, policy, rng):
-        cells = fresh_cells(cell_kernel, 32, rng=rng)
-        outcome = program_cells(cells, [True] * 32, policy, rng)
+        vt, ceiling = fresh_page(cell_kernel, 32, rng=rng)
+        select = np.ones((1, 32), dtype=bool)
+        outcome = program_page_batch(vt, select, policy, rng, ceiling)
         assert outcome.success
-        for cell in cells:
-            assert cell.state is CellState.PROGRAMMED
-            assert cell.vt_v >= policy.verify_level_v
+        assert (outcome.final_vt_v >= policy.verify_level_v).all()
 
     def test_inhibited_cells_untouched(self, cell_kernel, policy, rng):
-        cells = fresh_cells(cell_kernel, 16, rng=rng)
-        before = [c.vt_v for c in cells]
-        mask = [i % 2 == 0 for i in range(16)]
-        program_cells(cells, mask, policy, rng)
-        for i, (cell, b) in enumerate(zip(cells, before)):
-            if not mask[i]:
-                assert cell.vt_v == pytest.approx(b)
-                assert cell.state is CellState.ERASED
+        vt, ceiling = fresh_page(cell_kernel, 16, rng=rng)
+        select = (np.arange(16) % 2 == 0).reshape(1, -1)
+        outcome = program_page_batch(vt, select, policy, rng, ceiling)
+        np.testing.assert_array_equal(
+            outcome.final_vt_v[~select], vt[~select]
+        )
+        assert (outcome.final_vt_v[~select] < policy.verify_level_v).all()
 
     def test_verify_tightens_distribution(self, cell_kernel, policy, rng):
         """Post-ISPP spread is set by the step size, not by the (larger)
         process variation."""
-        cells = fresh_cells(
+        vt, ceiling = fresh_page(
             cell_kernel, 200, process_sigma_v=0.3, rng=rng
         )
-        before_spread = np.std([c.vt_v for c in cells])
-        program_cells(cells, [True] * 200, policy, rng)
-        after_spread = np.std([c.vt_v for c in cells])
-        assert after_spread < before_spread
+        select = np.ones((1, 200), dtype=bool)
+        outcome = program_page_batch(vt, select, policy, rng, ceiling)
+        assert outcome.final_vt_v.std() < vt.std()
 
     def test_slow_cells_get_more_pulses(self, cell_kernel, rng):
         """A higher verify level costs extra pulses."""
@@ -61,28 +68,34 @@ class TestProgramming:
             first_pulse_shift_v=0.4,
             step_v=0.3,
         )
-        cells_a = fresh_cells(cell_kernel, 16, rng=np.random.default_rng(3))
-        cells_b = fresh_cells(cell_kernel, 16, rng=np.random.default_rng(3))
-        p_low = program_cells(cells_a, [True] * 16, low, rng)
-        p_high = program_cells(cells_b, [True] * 16, high, rng)
-        assert p_high.pulses_used > p_low.pulses_used
+        vt, ceiling = fresh_page(
+            cell_kernel, 16, rng=np.random.default_rng(3)
+        )
+        select = np.ones((1, 16), dtype=bool)
+        p_low = program_page_batch(vt, select, low, rng, ceiling)
+        p_high = program_page_batch(vt, select, high, rng, ceiling)
+        assert p_high.pulses_used[0] > p_low.pulses_used[0]
 
     def test_unreachable_verify_reports_failures(self, cell_kernel, rng):
         policy = IsppPolicy(
             verify_level_v=cell_kernel.programmed_vt_v + 50.0,
             max_pulses=4,
         )
-        cells = fresh_cells(cell_kernel, 8, rng=rng)
-        outcome = program_cells(cells, [True] * 8, policy, rng)
+        vt, ceiling = fresh_page(cell_kernel, 8, rng=rng)
+        select = np.ones((1, 8), dtype=bool)
+        outcome = program_page_batch(vt, select, policy, rng, ceiling)
         assert not outcome.success
-        assert len(outcome.failed_cells) == 8
+        assert int(outcome.failed_mask.sum()) == 8
+        assert outcome.pulses_used[0] == 4
 
 
 class TestValidation:
     def test_mask_length_mismatch(self, cell_kernel, policy, rng):
-        cells = fresh_cells(cell_kernel, 4, rng=rng)
+        vt, ceiling = fresh_page(cell_kernel, 4, rng=rng)
         with pytest.raises(MemoryOperationError):
-            program_cells(cells, [True] * 3, policy, rng)
+            program_page_batch(
+                vt, np.ones((1, 3), dtype=bool), policy, rng, ceiling
+            )
 
     def test_rejects_bad_policy(self):
         with pytest.raises(ConfigurationError):

@@ -8,10 +8,9 @@ from repro.memory import (
     GRAY_BITS,
     MlcLevels,
     bits_to_level,
-    fresh_cells,
     level_to_bits,
-    program_mlc_page,
-    read_mlc_page,
+    program_mlc_page_batch,
+    read_mlc_page_batch,
 )
 
 
@@ -64,30 +63,39 @@ class TestGrayCode:
             bits_to_level(2, 0)
 
 
+def fresh_page(cell_kernel, n, rng):
+    """One erased ``(1, n)`` page with 50 mV of process variation."""
+    return cell_kernel.erased_vt_v + rng.normal(0.0, 0.05, size=(1, n))
+
+
 class TestProgramRead:
     def test_page_round_trip_all_levels(self, cell_kernel, levels, rng):
-        cells = fresh_cells(cell_kernel, 32, process_sigma_v=0.05, rng=rng)
-        targets = [i % 4 for i in range(32)]
-        pulses = program_mlc_page(cells, levels, targets, rng=rng)
-        assert pulses > 0
-        msb, lsb = read_mlc_page(cells, levels)
-        for i, level in enumerate(targets):
-            assert (int(msb[i]), int(lsb[i])) == level_to_bits(level), (
+        vt = fresh_page(cell_kernel, 32, rng)
+        targets = (np.arange(32) % 4).reshape(1, -1)
+        vt, pulses = program_mlc_page_batch(vt, levels, targets, rng=rng)
+        assert pulses.sum() > 0
+        msb, lsb = read_mlc_page_batch(vt, levels)
+        for i, level in enumerate(targets[0]):
+            assert (int(msb[0, i]), int(lsb[0, i])) == level_to_bits(level), (
                 f"cell {i} target L{level} read as "
-                f"({msb[i]}, {lsb[i]}), vt = {cells[i].vt_v:.2f}"
+                f"({msb[0, i]}, {lsb[0, i]}), vt = {vt[0, i]:.2f}"
             )
 
     def test_doubles_capacity_per_cell(self, cell_kernel, levels, rng):
         """32 cells carry 64 bits."""
-        cells = fresh_cells(cell_kernel, 32, process_sigma_v=0.05, rng=rng)
-        program_mlc_page(cells, levels, [3] * 32, rng=rng)
-        msb, lsb = read_mlc_page(cells, levels)
+        vt = fresh_page(cell_kernel, 32, rng)
+        vt, _ = program_mlc_page_batch(
+            vt, levels, np.full((1, 32), 3), rng=rng
+        )
+        msb, lsb = read_mlc_page_batch(vt, levels)
         assert msb.size + lsb.size == 64
 
     def test_erased_cells_stay_at_l0(self, cell_kernel, levels, rng):
-        cells = fresh_cells(cell_kernel, 8, process_sigma_v=0.05, rng=rng)
-        program_mlc_page(cells, levels, [0] * 8, rng=rng)
-        msb, lsb = read_mlc_page(cells, levels)
+        vt = fresh_page(cell_kernel, 8, rng)
+        vt, _ = program_mlc_page_batch(
+            vt, levels, np.zeros((1, 8), dtype=int), rng=rng
+        )
+        msb, lsb = read_mlc_page_batch(vt, levels)
         assert (msb == 1).all() and (lsb == 1).all()
 
     def test_levels_programmed_in_ascending_passes(
@@ -95,16 +103,17 @@ class TestProgramRead:
     ):
         """Mixed page: each cell ends at (or just above) its own target,
         not at the highest target of the page."""
-        cells = fresh_cells(cell_kernel, 16, process_sigma_v=0.05, rng=rng)
-        targets = [1] * 8 + [3] * 8
-        program_mlc_page(cells, levels, targets, rng=rng)
-        vts = np.array([c.vt_v for c in cells])
-        assert vts[:8].max() < levels.references_v[1]
-        assert vts[8:].min() > levels.references_v[2]
+        vt = fresh_page(cell_kernel, 16, rng)
+        targets = np.array([[1] * 8 + [3] * 8])
+        vt, _ = program_mlc_page_batch(vt, levels, targets, rng=rng)
+        assert vt[0, :8].max() < levels.references_v[1]
+        assert vt[0, 8:].min() > levels.references_v[2]
 
     def test_rejects_bad_targets(self, cell_kernel, levels, rng):
-        cells = fresh_cells(cell_kernel, 4, rng=rng)
+        vt = fresh_page(cell_kernel, 4, rng)
         with pytest.raises(MemoryOperationError):
-            program_mlc_page(cells, levels, [0, 1, 2], rng=rng)
+            program_mlc_page_batch(vt, levels, np.array([[0, 1, 2]]), rng=rng)
         with pytest.raises(MemoryOperationError):
-            program_mlc_page(cells, levels, [0, 1, 2, 5], rng=rng)
+            program_mlc_page_batch(
+                vt, levels, np.array([[0, 1, 2, 5]]), rng=rng
+            )

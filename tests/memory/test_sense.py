@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.memory import MemoryCell, SenseAmplifier, fresh_cells
+from repro.memory import SenseAmplifier
 
 
 @pytest.fixture()
@@ -15,28 +15,27 @@ def sense(cell_kernel):
 
 class TestSensing:
     def test_erased_reads_one(self, cell_kernel, sense):
-        cell = MemoryCell(kernel=cell_kernel)
-        assert sense.sense(cell) == 1
+        vt = np.array([cell_kernel.erased_vt_v])
+        assert sense.sense_page_batch(vt)[0] == 1
 
     def test_programmed_reads_zero(self, cell_kernel, sense):
-        cell = MemoryCell(kernel=cell_kernel)
-        cell.apply_program_pulse(cell_kernel.window_v)
-        assert sense.sense(cell) == 0
+        vt = np.array([cell_kernel.erased_vt_v + cell_kernel.window_v])
+        assert sense.sense_page_batch(vt)[0] == 0
 
     def test_page_read_returns_bit_array(self, cell_kernel, sense, rng):
-        cells = fresh_cells(cell_kernel, 16, rng=rng)
-        for c in cells[:8]:
-            c.apply_program_pulse(cell_kernel.window_v)
-        bits = sense.sense_page(cells)
+        vt = cell_kernel.erased_vt_v + rng.normal(0.0, 0.08, size=16)
+        vt[:8] += cell_kernel.window_v
+        bits = sense.sense_page_batch(vt)
         assert bits.dtype == np.uint8
         assert list(bits[:8]) == [0] * 8
         assert list(bits[8:]) == [1] * 8
 
-    def test_margin_distance_from_reference(self, cell_kernel, sense):
-        cell = MemoryCell(kernel=cell_kernel)
-        assert sense.margin_v(cell) == pytest.approx(
-            abs(cell.vt_v - sense.reference_v)
-        )
+    def test_margin_distance_from_reference(self, sense):
+        """The side of the reference a cell sits on decides its bit,
+        however small the margin."""
+        margins = np.array([-0.5, -1e-6, 1e-6, 0.5])
+        bits = sense.sense_page_batch(sense.reference_v + margins)
+        assert list(bits) == [1, 1, 0, 0]
 
 
 class TestNoise:
@@ -44,14 +43,14 @@ class TestNoise:
         noisy = SenseAmplifier(
             reference_v=cell_kernel.erased_vt_v, noise_sigma_v=0.2
         )
-        cell = MemoryCell(kernel=cell_kernel)  # sits exactly at reference
-        reads = [noisy.sense(cell, rng) for _ in range(200)]
-        assert 0 < sum(reads) < 200  # both outcomes observed
+        # Every cell sits exactly at the reference.
+        vt = np.full(200, cell_kernel.erased_vt_v)
+        reads = noisy.sense_page_batch(vt, rng)
+        assert 0 < int(reads.sum()) < 200  # both outcomes observed
 
     def test_noiseless_read_deterministic(self, cell_kernel, sense, rng):
-        cell = MemoryCell(kernel=cell_kernel)
-        reads = {sense.sense(cell, rng) for _ in range(20)}
-        assert reads == {1}
+        vt = np.full(20, cell_kernel.erased_vt_v)
+        assert set(sense.sense_page_batch(vt, rng).tolist()) == {1}
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ConfigurationError):

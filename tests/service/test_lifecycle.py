@@ -135,11 +135,11 @@ class TestPruneUnderLoad:
         for t in threads:
             t.join(timeout=60)
         assert errors == []
-        # Whatever survived parses cleanly and reindexes consistently.
+        # Whatever survived parses cleanly and verifies.
         survivors = store.hashes()
         for h in survivors:
             assert store.get_record(h).hash == h
-        assert set(store.reindex()) == set(survivors)
+        assert store.verify().intact == len(survivors)
 
 
 class TestRestartAfterPrune:
@@ -157,7 +157,7 @@ class TestRestartAfterPrune:
             max_entries=1, keep=set(kept.scenario_hashes)
         )
         assert removed == tuple(dropped.scenario_hashes)
-        assert set(store.index()) == set(kept.scenario_hashes)
+        assert set(store.hashes()) == set(kept.scenario_hashes)
         # A fresh service on the pruned store: the survivor is a store
         # hit, the pruned hash recomputes -- and lands back on disk.
         with ServiceThread(_app(store_dir)) as thread:

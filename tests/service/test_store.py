@@ -3,8 +3,9 @@
 Covers the :class:`~repro.service.store.ResultStore` contract the
 service and runner lean on -- bit-exact get/put round trips through
 the :mod:`repro.io` converters, idempotent first-writer-wins puts,
-index recovery, pruning, and the two-threads-one-hash concurrency
-race (one file, no corruption).
+integrity checks, pruning, stores that still carry the ``index.json``
+older versions wrote, and the two-threads-one-hash concurrency race
+(one file, no corruption).
 """
 
 import json
@@ -145,7 +146,7 @@ class TestVerify:
         repaired = store.verify(repair=True)
         assert len(repaired.quarantined) == 1
         assert not path.exists()
-        assert hashes[0] not in store.index()  # index rebuilt
+        assert hashes[0] not in store.hashes()
         assert hashes[1] in store  # the intact neighbour survives
         assert "1/2 intact" in repaired.summary()
 
@@ -194,27 +195,38 @@ class TestVerify:
         assert result_checksum(changed) != first
 
 
+def _legacy_index(store, hashes, *, corrupt):
+    """Write the ``index.json`` older store versions kept beside objects."""
+    path = store.root / "index.json"
+    if corrupt:
+        path.write_text("{ not json")
+        return path
+    entries = {}
+    for hash_ in hashes:
+        record = store.get_record(hash_)
+        entries[hash_] = {
+            "experiment_id": record.scenario_result.scenario.experiment_id,
+            "label": record.scenario_result.scenario.label,
+            "code_version": record.code_version,
+            "created_at": record.created_at,
+        }
+    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 class TestIndex:
+    """Objects are the only record: listings scan ``objects/``, and a
+    leftover ``index.json`` is inert."""
+
     def test_index_tracks_puts(self, tmp_path, make_scenario_result):
         store = ResultStore(tmp_path)
         result = make_scenario_result(experiment_id="fig7", label="warm")
         hash_ = _hash_of(result)
         store.put(hash_, result)
-        entries = store.index()
-        assert entries[hash_]["experiment_id"] == "fig7"
-        assert entries[hash_]["label"] == "warm"
-
-    def test_reindex_recovers_from_lost_index(
-        self, tmp_path, make_scenario_result
-    ):
-        store = ResultStore(tmp_path)
-        result = make_scenario_result()
-        hash_ = _hash_of(result)
-        store.put(hash_, result)
-        store.index_path.unlink()
-        rebuilt = store.reindex()
-        assert hash_ in rebuilt
-        assert json.loads(store.index_path.read_text())
+        assert store.hashes() == (hash_,)
+        scenario = store.get_record(hash_).scenario_result.scenario
+        assert scenario.experiment_id == "fig7"
+        assert scenario.label == "warm"
 
     def test_corrupt_index_falls_back_to_scan(
         self, tmp_path, make_scenario_result
@@ -223,48 +235,49 @@ class TestIndex:
         result = make_scenario_result()
         hash_ = _hash_of(result)
         store.put(hash_, result)
-        store.index_path.write_text("{ not json")
-        assert hash_ in store.index()
-        assert store.get(hash_) is not None  # never load-bearing
+        _legacy_index(store, [hash_], corrupt=True)
+        assert store.hashes() == (hash_,)
+        assert len(store) == 1
+        assert store.get(hash_) is not None
 
-    def test_corrupt_index_self_heals_on_disk(
-        self, tmp_path, make_scenario_result
+    def test_put_never_writes_an_index(self, tmp_path, make_scenario_result):
+        store = ResultStore(tmp_path)
+        for n in range(3):
+            result = make_scenario_result(overrides={"n_points": n + 4})
+            store.put(_hash_of(result), result)
+        assert len(store) == 3
+        assert not (tmp_path / "index.json").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt", [False, True], ids=["valid", "corrupt"]
+    )
+    def test_store_written_with_an_index_opens_and_serves(
+        self, tmp_path, make_scenario_result, corrupt
     ):
-        """One bad write degrades exactly one index() call to a scan.
+        """A store an older version wrote (objects plus its index) opens,
+        serves hits, prunes and verifies; nothing touches the index."""
+        old = ResultStore(tmp_path)
+        hashes = []
+        for n in range(3):
+            result = make_scenario_result(overrides={"n_points": n + 4})
+            hashes.append(_hash_of(result))
+            old.put(hashes[-1], result)
+        index = _legacy_index(old, hashes, corrupt=corrupt)
+        before = index.read_bytes()
 
-        The rebuilt index must be *persisted*, not just returned, so
-        the next call reads it instead of scanning again.
-        """
         store = ResultStore(tmp_path)
-        result = make_scenario_result()
-        hash_ = _hash_of(result)
-        store.put(hash_, result)
-        store.index_path.write_text("{ not json")
-        store.index()  # heals
-        healed = json.loads(store.index_path.read_text())
-        assert hash_ in healed
-
-    def test_non_dict_index_self_heals(self, tmp_path, make_scenario_result):
-        store = ResultStore(tmp_path)
-        result = make_scenario_result()
-        hash_ = _hash_of(result)
-        store.put(hash_, result)
-        store.index_path.write_text(json.dumps(["not", "a", "mapping"]))
-        assert hash_ in store.index()
-        assert hash_ in json.loads(store.index_path.read_text())
-
-    def test_put_over_corrupt_index_self_heals(
-        self, tmp_path, make_scenario_result
-    ):
-        store = ResultStore(tmp_path)
-        first = make_scenario_result(overrides={"n_points": 4})
-        store.put(_hash_of(first), first)
-        store.index_path.write_text("{ not json")
-        second = make_scenario_result(overrides={"n_points": 5})
-        store.put(_hash_of(second), second)
-        entries = json.loads(store.index_path.read_text())
-        assert _hash_of(first) in entries
-        assert _hash_of(second) in entries
+        assert store.hashes() == tuple(sorted(hashes))
+        for hash_ in hashes:
+            assert store.get(hash_) is not None
+        fresh = make_scenario_result(overrides={"n_points": 9})
+        store.put(_hash_of(fresh), fresh)
+        assert _hash_of(fresh) in store.hashes()
+        assert store.verify().ok
+        pruned = store.prune(max_entries=2, keep=[_hash_of(fresh)])
+        assert len(pruned) == 2
+        assert len(store) == 2
+        assert store.verify().scanned == 2
+        assert index.read_bytes() == before
 
 
 class TestPrune:
@@ -376,8 +389,8 @@ class TestPrune:
         hash_ = _hash_of(result)
         store.put(hash_, result)
         store.prune(max_entries=0)
-        assert store.index() == {}
-        assert json.loads(store.index_path.read_text()) == {}
+        assert store.hashes() == ()
+        assert len(store) == 0
 
 
 class TestConcurrency:
@@ -434,7 +447,6 @@ class TestConcurrency:
         for t in threads:
             t.join(timeout=30)
         assert len(store) == 8
-        assert len(store.index()) == 8
 
 
 class TestRunPlanWithStore:

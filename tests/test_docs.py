@@ -487,7 +487,6 @@ def test_architecture_covers_the_job_lifecycle():
         "protected_hashes",
         "TOCTOU",
         "expired",
-        "self-heals",
         "_evict_finished",
     ):
         assert needle in text, (
