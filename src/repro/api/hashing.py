@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 #: makes previously stored results wrong (new physics, changed solver
 #: tolerances, reworked experiment defaults): every store entry keyed
 #: under the old revision becomes unreachable, never silently wrong.
+#: ``tests/service/test_wire_format.py`` pins the exact bytes of store
+#: objects, journal lines, HTTP bodies and scenario hashes; a change
+#: that moves any of them must bump this revision.
 RESULT_FORMAT_REVISION = 1
 
 
