@@ -61,12 +61,12 @@ def canonical_scenario_record(scenario: "Scenario") -> "dict[str, Any]":
     """The scenario fields that define its computational identity.
 
     The JSON-safe ``experiment_id`` / ``overrides`` / ``sweep`` record
-    (NumPy scalars normalised by :func:`repro.io.scenario_to_dict`),
+    (NumPy scalars normalised by :func:`repro.io.to_record`),
     with the presentation-only ``label`` dropped.
     """
     from .. import io
 
-    record = io.scenario_to_dict(scenario)
+    record = io.to_record(scenario)
     record.pop("label", None)
     return record
 

@@ -58,14 +58,14 @@ class RunPlan:
         """JSON-safe record; inverse of :meth:`from_dict`."""
         from .. import io
 
-        return io.run_plan_to_dict(self)
+        return io.to_record(self)
 
     @classmethod
     def from_dict(cls, data: "Mapping[str, Any]") -> "RunPlan":
         """Rebuild a plan from its JSON record."""
         from .. import io
 
-        return io.run_plan_from_dict(data)
+        return io.from_record(cls, data)
 
     def save(self, path: "str | Path") -> Path:
         """Write the plan as a JSON file; returns the path."""
@@ -78,7 +78,7 @@ class RunPlan:
         """Read a plan back from a JSON file."""
         from .. import io
 
-        return io.run_plan_from_dict(io.load_json(path))
+        return io.from_record(cls, io.load_json(path))
 
 
 @dataclass(frozen=True)

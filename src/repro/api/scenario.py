@@ -105,14 +105,14 @@ class Scenario:
         """JSON-safe record; inverse of :meth:`from_dict`."""
         from .. import io
 
-        return io.scenario_to_dict(self)
+        return io.to_record(self)
 
     @classmethod
     def from_dict(cls, data: "Mapping[str, Any]") -> "Scenario":
         """Rebuild a scenario from its JSON record."""
         from .. import io
 
-        return io.scenario_from_dict(data)
+        return io.from_record(cls, data)
 
     def save(self, path: "str | Path") -> Path:
         """Write the scenario as a JSON file; returns the path."""
@@ -125,4 +125,4 @@ class Scenario:
         """Read a scenario back from a JSON file."""
         from .. import io
 
-        return io.scenario_from_dict(io.load_json(path))
+        return io.from_record(cls, io.load_json(path))

@@ -31,11 +31,7 @@ from ..api.plan import RunPlan
 from ..api.session import SimulationSession
 from ..engine.cache import CacheStats
 from ..errors import ConfigurationError
-from ..io import (
-    experiment_result_to_dict,
-    save_json,
-    scenario_result_to_dict,
-)
+from ..io import experiment_result_to_dict, save_json, to_record
 from ..reporting.export import export_series_csv
 from .base import ExperimentResult
 from .registry import available_experiments
@@ -174,7 +170,7 @@ def _run_plan(
             stem,
             args.csv_dir,
             args.json_dir,
-            record=scenario_result_to_dict(scenario_result),
+            record=to_record(scenario_result),
         )
         failures += sum(
             1 for c in scenario_result.result.checks if not c.passed

@@ -1,161 +1,89 @@
 """Configuration serialization: reproducible experiment records.
 
-Devices, design points, scenarios, run plans and experiment results
-serialise to plain JSON so a published run can be re-instantiated
-exactly -- the :mod:`repro.api` scenario layer round-trips through
-here. Only configuration travels through JSON -- materials are
-referenced by registry name, not embedded -- keeping the files small
-and human-diffable.
+Devices, design points, scenarios, plans, results and the service's
+records serialise to plain JSON so a published run can be re-instantiated
+exactly. One codec does all of it: :func:`to_record` / :func:`from_record`
+generate, once per frozen dataclass, an encoder and a decoder from its
+fields and type hints; what a hint cannot say is one row of :data:`_WIRE`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
+from collections.abc import Mapping, Sequence
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
-from .device.floating_gate import FloatingGateTransistor
-from .device.geometry import DeviceGeometry
 from .errors import ConfigurationError
-from .experiments.base import ExperimentResult, ShapeCheck
+from .materials.base import DielectricMaterial
 from .materials.registry import get_dielectric
-from .optimization.design_space import DesignPoint
-from .reporting.ascii_plot import PlotSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from .api.plan import PlanResult, RunPlan, ScenarioResult, ShardReport
-    from .api.scenario import Scenario
-    from .engine.cache import CacheStats
-    from .service.jobs import JobRecord
-    from .service.journal import JournalEntry, LeaseRecord
+    from .api.plan import PlanResult
+    from .experiments.base import ExperimentResult
     from .service.store import StoreRecord
 
 
-def geometry_to_dict(geometry: DeviceGeometry) -> "dict[str, float]":
-    """DeviceGeometry -> plain dict (SI units)."""
-    return {
-        "channel_length_m": geometry.channel_length_m,
-        "channel_width_m": geometry.channel_width_m,
-        "tunnel_oxide_thickness_m": geometry.tunnel_oxide_thickness_m,
-        "control_oxide_thickness_m": geometry.control_oxide_thickness_m,
-        "floating_gate_thickness_m": geometry.floating_gate_thickness_m,
-        "control_gate_area_multiplier": geometry.control_gate_area_multiplier,
-        "source_overlap_fraction": geometry.source_overlap_fraction,
-        "drain_overlap_fraction": geometry.drain_overlap_fraction,
-    }
+class _Wire(NamedTuple):
+    """How one record type's JSON differs from its plain field list."""
+
+    name: str  # the record name error messages use
+    required: "tuple[str, ...]" = ()  # keys every record must carry
+    strict: bool = False  # reject unknown keys
+    omit: "tuple[str, ...]" = ()  # left out while equal to their default
+    rename: "Mapping[str, str]" = {}  # field -> wire key ("a.b": nested)
+    defaults: "Mapping[str, Any]" = {}  # wire value decoded when absent
+    order: "tuple[str, ...]" = ()  # wire key order, if not field order
 
 
-def geometry_from_dict(data: Mapping[str, Any]) -> DeviceGeometry:
-    """Plain dict -> DeviceGeometry (validation re-applied)."""
-    try:
-        return DeviceGeometry(**{k: float(v) for k, v in data.items()})
-    except TypeError as exc:
-        raise ConfigurationError(f"bad geometry record: {exc}") from exc
-
-
-def device_to_dict(device: FloatingGateTransistor) -> "dict[str, Any]":
-    """FloatingGateTransistor -> plain dict (materials by name)."""
-    return {
-        "geometry": geometry_to_dict(device.geometry),
-        "tunnel_dielectric": device.tunnel_dielectric.name,
-        "control_dielectric": device.control_dielectric.name,
-        "channel_work_function_ev": device.channel_work_function_ev,
-        "floating_gate_work_function_ev": (
-            device.floating_gate_work_function_ev
-        ),
-        "control_gate_work_function_ev": (
-            device.control_gate_work_function_ev
-        ),
-    }
-
-
-def device_from_dict(data: Mapping[str, Any]) -> FloatingGateTransistor:
-    """Plain dict -> FloatingGateTransistor.
-
-    Dielectrics are resolved through the material registry, so custom
-    materials must be registered before loading.
-    """
-    required = {
-        "geometry",
-        "tunnel_dielectric",
-        "control_dielectric",
-        "channel_work_function_ev",
-        "floating_gate_work_function_ev",
-        "control_gate_work_function_ev",
-    }
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"device record missing fields: {sorted(missing)}"
-        )
-    return FloatingGateTransistor(
-        geometry=geometry_from_dict(data["geometry"]),
-        tunnel_dielectric=get_dielectric(data["tunnel_dielectric"]),
-        control_dielectric=get_dielectric(data["control_dielectric"]),
-        channel_work_function_ev=float(data["channel_work_function_ev"]),
-        floating_gate_work_function_ev=float(
-            data["floating_gate_work_function_ev"]
-        ),
-        control_gate_work_function_ev=float(
-            data["control_gate_work_function_ev"]
-        ),
-    )
-
-
-def design_point_to_dict(point: DesignPoint) -> "dict[str, float]":
-    """DesignPoint -> plain dict."""
-    return {
-        "program_voltage_v": point.program_voltage_v,
-        "tunnel_oxide_nm": point.tunnel_oxide_nm,
-        "control_oxide_nm": point.control_oxide_nm,
-        "gate_coupling_ratio": point.gate_coupling_ratio,
-    }
-
-
-def design_point_from_dict(data: Mapping[str, Any]) -> DesignPoint:
-    """Plain dict -> DesignPoint."""
-    try:
-        return DesignPoint(**{k: float(v) for k, v in data.items()})
-    except TypeError as exc:
-        raise ConfigurationError(f"bad design-point record: {exc}") from exc
-
-
-def experiment_result_to_dict(result: ExperimentResult) -> "dict[str, Any]":
-    """ExperimentResult -> JSON-safe dict (series included)."""
-    return {
-        "experiment_id": result.experiment_id,
-        "title": result.title,
-        "x_label": result.x_label,
-        "y_label": result.y_label,
-        "parameters": {k: _jsonable(v) for k, v in result.parameters.items()},
-        "series": [
-            {
-                "label": s.label,
-                "x": [float(v) for v in s.x],
-                "y": [float(v) for v in s.y],
-            }
-            for s in result.series
-        ],
-        "checks": [
-            # bool() strips the np.bool_ some checks produce.
-            {"claim": c.claim, "passed": bool(c.passed), "detail": c.detail}
-            for c in result.checks
-        ],
-        "log_y": bool(result.log_y),
-    }
+#: One row per record type. An absent optional key decodes to ``defaults``,
+#: else to the dataclass default, else to its type's zero ("", 0, None, []).
+_WIRE = {
+    "DeviceGeometry": _Wire("geometry", strict=True),
+    "FloatingGateTransistor": _Wire("device", (
+        "geometry", "tunnel_dielectric", "control_dielectric",
+        "channel_work_function_ev", "floating_gate_work_function_ev",
+        "control_gate_work_function_ev")),
+    "DesignPoint": _Wire("design-point", strict=True),
+    "PlotSeries": _Wire("plot-series", ("label", "x", "y")),
+    "ShapeCheck": _Wire("shape-check", ("claim", "passed")),
+    "ExperimentResult": _Wire(
+        "experiment", ("experiment_id", "title", "x_label", "y_label", "series"),
+        order=("experiment_id", "title", "x_label", "y_label", "parameters",
+               "series", "checks", "log_y"),
+    ),
+    "Scenario": _Wire("scenario", ("experiment_id",), strict=True, omit=("label",)),
+    "RunPlan": _Wire("run-plan", ("scenarios",), order=("name", "scenarios")),
+    "CacheStats": _Wire("cache-stats", defaults={"per_cache": {}}),
+    "ScenarioResult": _Wire(
+        "scenario-result", ("scenario", "result"),
+        rename={"cache_stats": "cache", "reused_hits": "cache.reused_hits"},
+        order=("scenario", "elapsed_s", "cache_stats", "result"),
+    ),
+    "ShardReport": _Wire("shard-report", ("index", "positions", "seed"),
+                         rename={"cache_stats": "cache"}),
+    "ShardFailure": _Wire("shard-failure", ("index", "positions", "cause")),
+    # Legacy objects hash without a checksum, so an empty one stays out.
+    "StoreRecord": _Wire("store", ("hash", "scenario_result"), omit=("checksum",)),
+    "JobRecord": _Wire("job", ("id", "status"), defaults={"plan_name": "plan"}),
+    "JournalEntry": _Wire("journal-entry", ("kind",)),
+    "LeaseRecord": _Wire("lease", ("plan_hash", "owner_id")),
+    "FaultSpec": _Wire("fault-spec", ("kind",)),
+}
 
 
 def _jsonable(value: Any) -> Any:
     """Normalise one value to builtin JSON types (the canonical form).
 
-    NumPy scalars are checked *before* the builtin numeric branch:
-    ``np.float64`` subclasses :class:`float`, so testing ``float``
-    first would let it through unconverted and the same scenario
-    would serialise (and therefore content-hash, see
-    :mod:`repro.api.hashing`) differently depending on whether a
-    value arrived as ``1.5`` or ``np.float64(1.5)``.
+    NumPy scalars are checked *before* ``float``, which ``np.float64``
+    subclasses: otherwise ``1.5`` and ``np.float64(1.5)`` would serialise,
+    and so content-hash (:mod:`repro.api.hashing`), differently.
     """
     if isinstance(value, (str, bool)) or value is None:
         return value
@@ -172,461 +100,215 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def experiment_result_from_dict(data: Mapping[str, Any]) -> ExperimentResult:
-    """JSON record -> ExperimentResult (inverse of the exporter).
+def to_record(obj: Any) -> "dict[str, Any]":
+    """Any record dataclass -> its JSON-safe dict."""
+    return _codec(type(obj))[0](obj)
 
-    Series come back as float ndarrays and checks as
-    :class:`~repro.experiments.base.ShapeCheck` tuples, so an exported
-    figure can be re-rendered or re-validated without recomputation.
-    ``parameters`` round-trip as their JSON-safe forms.
-    """
-    required = {"experiment_id", "title", "x_label", "y_label", "series"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"experiment record missing fields: {sorted(missing)}"
+
+def from_record(cls: type, data: Any) -> Any:
+    """JSON dict -> a validated ``cls``; a malformed one is a ConfigurationError."""
+    return _codec(cls)[1](data)
+
+
+# ----- the generated per-class converters ------------------------------
+
+Encode = Decode = Callable[[Any], Any]
+
+_CODECS: "dict[type, tuple[Encode, Decode]]" = {}
+_NO_ZERO = object()  # a type with no zero value: its key is required
+_KINDS = {type(None): "null", bool: "bool", int: "number", float: "number",
+          str: "string", list: "list", tuple: "list", dict: "object"}
+
+
+def _codec(cls: type) -> "tuple[Encode, Decode]":
+    return _CODECS.get(cls) or _CODECS.setdefault(cls, _compile(cls))
+
+
+def _shape_error(where: str, expected: str, raw: Any) -> ConfigurationError:
+    got = _KINDS.get(type(raw), type(raw).__name__)
+    return ConfigurationError(f"{where}: expected {expected}, got {got}")
+
+
+def _checked(ok: Any, kind: str, convert: Decode, where: str) -> Decode:
+    """Decoder that checks a value's JSON shape, then converts it."""
+
+    def decode(raw: Any) -> Any:
+        if not isinstance(raw, ok):
+            raise _shape_error(where, kind, raw)
+        try:
+            return convert(raw)
+        except (TypeError, ValueError) as exc:  # e.g. a string in an array
+            raise ConfigurationError(f"{where}: {exc}") from exc
+
+    return decode
+
+
+def _scalar(py: type, where: str) -> Decode:
+    """Decoder of a ``str``/``int``/``float``/``bool``: a shape check."""
+    ok = {str: str, bool: (bool, np.bool_)}.get(py, (int, float, np.number))
+    checked = _checked(ok, _KINDS[py], py, where)
+    return lambda raw: raw if type(raw) is py else checked(raw)
+
+
+def _per_cache(where: str) -> Decode:
+    counters = _type_codec(Mapping[str, tuple[int, ...]], where)[1]
+    return lambda raw: tuple(counters(raw).items())
+
+
+#: Value hooks -- (encoder, decoder factory) -- for what a hint does
+#: not say: keyed by type, or by ``"Class.field"`` for a single field.
+_HOOKS: "dict[Any, tuple[Encode, Callable[[str], Decode]]]" = {
+    np.ndarray: (lambda v: np.asarray(v, dtype=float).tolist(), lambda where: (
+        _checked((list, tuple), "list", partial(np.asarray, dtype=float), where)
+    )),
+    DielectricMaterial: (lambda v: v.name, lambda where: (
+        _checked(str, "string", get_dielectric, where)
+    )),
+    "CacheStats.per_cache": (
+        lambda v: {name: list(counters) for name, counters in v}, _per_cache
+    ),
+}
+
+
+def _type_codec(tp: Any, where: str) -> "tuple[Encode | None, Decode | None, Any]":
+    """(encoder, decoder, wire zero) of one hint; ``None`` codes identity."""
+    if tp in _HOOKS:
+        encode, decoder = _HOOKS[tp]
+        return encode, decoder(where), _NO_ZERO
+    if tp is Any or tp is object:
+        return _jsonable, None, None
+    if tp in (str, int, float, bool):
+        return (bool if tp is bool else None), _scalar(tp, where), tp()
+    if dataclasses.is_dataclass(tp):
+        return (*_codec(tp), {})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec, _ = _type_codec(inner, where)
+        return (enc and (lambda v: None if v is None else enc(v)),
+                dec and (lambda raw: None if raw is None else dec(raw)), None)
+    if origin in (tuple, Sequence) and args[-1] in (..., Any):
+        enc, dec, _ = _type_codec(args[0], where)
+        to_wire = list if enc is None else (lambda v: [enc(x) for x in v])
+        convert = tuple if dec is None else (lambda r: tuple([dec(x) for x in r]))
+        return to_wire, _checked((list, tuple), "list", convert, where), []
+    if origin is Mapping:
+        enc, dec, _ = _type_codec(args[1], where)
+        to_wire = dict if enc is None else (lambda v: {k: enc(x) for k, x in v.items()})
+        convert = dict if dec is None else (lambda r: {k: dec(x) for k, x in r.items()})
+        return to_wire, _checked(Mapping, "object", convert, where), {}
+    raise TypeError(f"{where}: no wire form for {tp!r}")
+
+
+def _compile(cls: type) -> "tuple[Encode, Decode]":
+    """Generate one record class's straight-line encoder and decoder.
+
+    Like :mod:`dataclasses`, it compiles source once per class, so a call
+    does no reflection and no loop over fields."""
+    row = _WIRE.get(cls.__name__)
+    if row is None or not dataclasses.is_dataclass(cls):
+        raise TypeError(f"{cls.__name__} has no wire format")
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    paths = {name: row.rename.get(name, name).split(".") for name in fields}
+    nested = [name for name in fields if len(paths[name]) == 2]
+    flat = row.order or [name for name in fields if name not in nested]
+    env: "dict[str, Any]" = {"cls": cls, "Mapping": Mapping}
+    encode_src, decode_src, required = [], [], set()
+    # Nested fields go last, so the wire object holding them exists.
+    for i, name in enumerate([*flat, *nested]):
+        f, hook, hint = fields[name], f"{cls.__name__}.{name}", hints[name]
+        encode, decode, zero = _type_codec(
+            hook if hook in _HOOKS else hint, f"{row.name} record {name!r}"
         )
-    series = tuple(
-        PlotSeries(
-            label=str(s["label"]),
-            x=np.asarray(s["x"], dtype=float),
-            y=np.asarray(s["y"], dtype=float),
-        )
-        for s in data["series"]
+        env.update({f"e{i}": encode, f"d{i}": decode, f"t{i}": hint})
+        value = f"obj.{name}" if encode is None else f"e{i}(obj.{name})"
+        line = f"out{''.join(f'[{k!r}]' for k in paths[name])} = {value}"
+        if name in row.omit:
+            env[f"o{i}"] = f.default
+            line = f"if obj.{name} != o{i}:\n        {line}"
+        encode_src.append(f"    {line}\n")
+        source = "data" if name in flat else f"data.get({paths[name][0]!r}, {{}})"
+        key = paths[name][-1]
+        got = f"{source}[{key!r}]"
+        if hint in (str, int, float, bool):  # exact type: skip the call
+            got = f"(r if type(r := {got}) is t{i} else d{i}(r))"
+        elif decode is not None:
+            got = f"d{i}({got})"
+        # An absent key: the row's default, the dataclass's, or the zero.
+        fallback = f"z{i}" if decode is None else f"d{i}(z{i})"
+        if name in row.defaults:
+            zero = row.defaults[name]
+        elif f.default is not dataclasses.MISSING:
+            zero, fallback = f.default, f"z{i}"
+        elif f.default_factory is not dataclasses.MISSING:
+            zero, fallback = f.default_factory, f"z{i}()"
+        env[f"z{i}"] = zero
+        if name in row.required or zero is _NO_ZERO:
+            required.add(paths[name][0])
+        else:
+            got = f"{got} if {key!r} in {source} else {fallback}"
+        decode_src.append(f"        {name}={got},\n")
+    known = frozenset(path[0] for path in paths.values())
+
+    def reject(data: Any) -> None:
+        if not isinstance(data, Mapping):
+            raise _shape_error(f"{row.name} record", "object", data)
+        if missing := sorted(required - data.keys()):
+            raise ConfigurationError(f"{row.name} record missing fields: {missing}")
+        unknown = sorted(data.keys() - known)
+        raise ConfigurationError(f"{row.name} record has unknown fields: {unknown}")
+
+    env.update(required=frozenset(required), known=known, reject=reject)
+    strict = " or not data.keys() <= known" if row.strict else ""
+    exec(  # noqa: S102 - generated from the dataclass fields above
+        "def encode(obj):\n    out = {}\n" + "".join(encode_src)
+        + "    return out\n"
+        "def decode(data):\n"
+        "    if (type(data) is not dict and not isinstance(data, Mapping)\n"
+        f"            or not required <= data.keys(){strict}):\n"
+        "        reject(data)\n"
+        "    return cls(\n" + "".join(decode_src) + "    )\n",
+        env,
     )
-    checks = tuple(
-        ShapeCheck(
-            claim=str(c["claim"]),
-            passed=bool(c["passed"]),
-            detail=str(c.get("detail", "")),
-        )
-        for c in data.get("checks", ())
-    )
-    return ExperimentResult(
-        experiment_id=str(data["experiment_id"]),
-        title=str(data["title"]),
-        x_label=str(data["x_label"]),
-        y_label=str(data["y_label"]),
-        series=series,
-        parameters=dict(data.get("parameters", {})),
-        checks=checks,
-        log_y=bool(data.get("log_y", True)),
-    )
+    return env["encode"], env["decode"]
 
 
-# ----- scenarios and run plans (the repro.api layer) ---------------------
+# ----- named entry points and files -------------------------------------
 
 
-def scenario_to_dict(scenario: "Scenario") -> "dict[str, Any]":
-    """Scenario -> JSON-safe dict; inverse of :func:`scenario_from_dict`."""
-    record: "dict[str, Any]" = {
-        "experiment_id": scenario.experiment_id,
-        "overrides": {
-            k: _jsonable(v) for k, v in scenario.overrides.items()
-        },
-        "sweep": {
-            k: [_jsonable(v) for v in values]
-            for k, values in scenario.sweep.items()
-        },
-    }
-    if scenario.label is not None:
-        record["label"] = scenario.label
-    return record
+def experiment_result_to_dict(result: "ExperimentResult") -> "dict[str, Any]":
+    """ExperimentResult -> JSON-safe dict (series included)."""
+    return to_record(result)
 
 
-def scenario_from_dict(data: Mapping[str, Any]) -> "Scenario":
-    """Plain dict -> Scenario (validation re-applied on load)."""
-    from .api.scenario import Scenario
-
-    if "experiment_id" not in data:
-        raise ConfigurationError("scenario record needs an experiment_id")
-    unknown = set(data) - {"experiment_id", "overrides", "sweep", "label"}
-    if unknown:
-        raise ConfigurationError(
-            f"scenario record has unknown fields: {sorted(unknown)}"
-        )
-    return Scenario(
-        experiment_id=str(data["experiment_id"]),
-        overrides=dict(data.get("overrides", {})),
-        sweep=dict(data.get("sweep", {})),
-        label=data.get("label"),
-    )
+def store_record_to_dict(record: "StoreRecord") -> "dict[str, Any]":
+    """StoreRecord -> the result store's on-disk object (and HTTP body)."""
+    return to_record(record)
 
 
-def run_plan_to_dict(plan: "RunPlan") -> "dict[str, Any]":
-    """RunPlan -> JSON-safe dict; inverse of :func:`run_plan_from_dict`."""
-    return {
-        "name": plan.name,
-        "scenarios": [scenario_to_dict(s) for s in plan.scenarios],
-    }
+def store_record_from_dict(data: Mapping[str, Any]) -> "StoreRecord":
+    """Store object -> StoreRecord, arrays bit-identical to the original."""
+    from .service.store import StoreRecord
 
-
-def run_plan_from_dict(data: Mapping[str, Any]) -> "RunPlan":
-    """Plain dict -> RunPlan (each scenario validated on load)."""
-    from .api.plan import RunPlan
-
-    if "scenarios" not in data:
-        raise ConfigurationError("run-plan record needs a scenarios list")
-    return RunPlan(
-        name=str(data.get("name", "plan")),
-        scenarios=tuple(
-            scenario_from_dict(s) for s in data["scenarios"]
-        ),
-    )
-
-
-def cache_stats_to_dict(stats: "CacheStats") -> "dict[str, Any]":
-    """CacheStats -> JSON-safe dict; inverse of :func:`cache_stats_from_dict`."""
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "currsize": stats.currsize,
-        "per_cache": {
-            name: list(counters) for name, counters in stats.per_cache
-        },
-    }
-
-
-def cache_stats_from_dict(data: Mapping[str, Any]) -> "CacheStats":
-    """Plain dict -> CacheStats (missing per-cache breakdown tolerated).
-
-    Accepts both the full record :func:`cache_stats_to_dict` writes and
-    the abbreviated ``{"hits": ..., "misses": ...}`` summaries older
-    exports carried; absent fields come back as zero / empty.
-    """
-    from .engine.cache import CacheStats
-
-    return CacheStats(
-        hits=int(data.get("hits", 0)),
-        misses=int(data.get("misses", 0)),
-        currsize=int(data.get("currsize", 0)),
-        per_cache=tuple(
-            (str(name), tuple(int(c) for c in counters))
-            for name, counters in dict(data.get("per_cache", {})).items()
-        ),
-    )
-
-
-def scenario_result_to_dict(result: "ScenarioResult") -> "dict[str, Any]":
-    """ScenarioResult -> JSON-safe dict (scenario + result + counters)."""
-    return {
-        "scenario": scenario_to_dict(result.scenario),
-        "elapsed_s": result.elapsed_s,
-        "cache": {
-            **cache_stats_to_dict(result.cache_stats),
-            "reused_hits": result.reused_hits,
-        },
-        "result": experiment_result_to_dict(result.result),
-    }
-
-
-def scenario_result_from_dict(data: Mapping[str, Any]) -> "ScenarioResult":
-    """JSON record -> ScenarioResult (inverse of the exporter).
-
-    Rebuilds the scenario, the experiment result and the cache
-    attribution, so an exported plan run can be reloaded and
-    re-aggregated without re-simulating anything.
-    """
-    from .api.plan import ScenarioResult
-
-    required = {"scenario", "result"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"scenario-result record missing fields: {sorted(missing)}"
-        )
-    cache = dict(data.get("cache", {}))
-    return ScenarioResult(
-        scenario=scenario_from_dict(data["scenario"]),
-        result=experiment_result_from_dict(data["result"]),
-        elapsed_s=float(data.get("elapsed_s", 0.0)),
-        cache_stats=cache_stats_from_dict(cache),
-        reused_hits=int(cache.get("reused_hits", 0)),
-    )
+    return from_record(StoreRecord, data)
 
 
 def plan_result_to_dict(result: "PlanResult") -> "dict[str, Any]":
-    """PlanResult -> JSON-safe dict (plan, scenarios, cache counters).
-
-    A :class:`~repro.api.plan.ParallelPlanResult` additionally gets a
-    ``"shards"`` list (one :func:`shard_report_to_dict` record per
-    shard), so the parallel structure of a run survives export -- and,
-    when the run was partial, a ``"failures"`` list (one
-    :func:`shard_failure_to_dict` record per exhausted shard unit).
-    """
+    """PlanResult -> JSON summary (a derived report, so encode-only)."""
     record = {
-        "plan": run_plan_to_dict(result.plan),
-        "scenario_results": [
-            scenario_result_to_dict(s) for s in result.scenario_results
-        ],
+        "plan": to_record(result.plan),
+        "scenario_results": [to_record(s) for s in result.scenario_results],
         "cache": {
             "hits": result.cache_stats.hits,
             "misses": result.cache_stats.misses,
             "cross_scenario_hits": result.cross_scenario_hits,
         },
     }
-    shard_reports = getattr(result, "shard_reports", ())
-    if shard_reports:
-        record["shards"] = [shard_report_to_dict(r) for r in shard_reports]
-    failures = getattr(result, "failures", ())
-    if failures:
-        record["failures"] = [shard_failure_to_dict(f) for f in failures]
+    for key, attr in (("shards", "shard_reports"), ("failures", "failures")):
+        if getattr(result, attr, ()):
+            record[key] = [to_record(x) for x in getattr(result, attr)]
     return record
-
-
-def shard_report_to_dict(report: "ShardReport") -> "dict[str, Any]":
-    """ShardReport -> JSON-safe dict; inverse of :func:`shard_report_from_dict`."""
-    return {
-        "index": report.index,
-        "positions": list(report.positions),
-        "seed": report.seed,
-        "elapsed_s": report.elapsed_s,
-        "cache": cache_stats_to_dict(report.cache_stats),
-    }
-
-
-def shard_report_from_dict(data: Mapping[str, Any]) -> "ShardReport":
-    """Plain dict -> ShardReport (inverse of the exporter)."""
-    from .api.plan import ShardReport
-
-    required = {"index", "positions", "seed"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"shard-report record missing fields: {sorted(missing)}"
-        )
-    return ShardReport(
-        index=int(data["index"]),
-        positions=tuple(int(p) for p in data["positions"]),
-        seed=int(data["seed"]),
-        elapsed_s=float(data.get("elapsed_s", 0.0)),
-        cache_stats=cache_stats_from_dict(dict(data.get("cache", {}))),
-    )
-
-
-def shard_failure_to_dict(failure: "ShardFailure") -> "dict[str, Any]":
-    """ShardFailure -> JSON-safe dict; inverse of :func:`shard_failure_from_dict`."""
-    return {
-        "index": failure.index,
-        "positions": list(failure.positions),
-        "scenario_ids": list(failure.scenario_ids),
-        "attempts": failure.attempts,
-        "cause": failure.cause,
-        "message": failure.message,
-        "elapsed_s": failure.elapsed_s,
-    }
-
-
-def shard_failure_from_dict(data: Mapping[str, Any]) -> "ShardFailure":
-    """Plain dict -> ShardFailure (inverse of the exporter).
-
-    The typed record a partial parallel run (and a failed service job)
-    reports for every shard unit that exhausted its retries; see
-    :class:`~repro.api.plan.ShardFailure`.
-    """
-    from .api.plan import ShardFailure
-
-    required = {"index", "positions", "cause"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"shard-failure record missing fields: {sorted(missing)}"
-        )
-    return ShardFailure(
-        index=int(data["index"]),
-        positions=tuple(int(p) for p in data["positions"]),
-        scenario_ids=tuple(
-            str(s) for s in data.get("scenario_ids", ())
-        ),
-        attempts=int(data.get("attempts", 0)),
-        cause=str(data["cause"]),
-        message=str(data.get("message", "")),
-        elapsed_s=float(data.get("elapsed_s", 0.0)),
-    )
-
-
-# ----- service records (the repro.service layer) --------------------------
-
-
-def store_record_to_dict(record: "StoreRecord") -> "dict[str, Any]":
-    """StoreRecord -> JSON-safe dict; inverse of :func:`store_record_from_dict`.
-
-    This is the on-disk object format of the content-addressed result
-    store (:class:`~repro.service.store.ResultStore`): the scenario
-    hash the record is filed under, the code-version salt it was
-    computed with, a creation timestamp, and the full
-    :func:`scenario_result_to_dict` payload.
-    """
-    payload: "dict[str, Any]" = {
-        "hash": record.hash,
-        "code_version": record.code_version,
-        "created_at": record.created_at,
-        "scenario_result": scenario_result_to_dict(record.scenario_result),
-    }
-    if record.checksum:
-        payload["checksum"] = record.checksum
-    return payload
-
-
-def store_record_from_dict(data: Mapping[str, Any]) -> "StoreRecord":
-    """JSON record -> StoreRecord (inverse of the exporter).
-
-    Rebuilds the embedded :class:`~repro.api.plan.ScenarioResult`
-    bit-exactly through :func:`scenario_result_from_dict`, so a store
-    hit round-trips to arrays identical to the original computation.
-    """
-    from .service.store import StoreRecord
-
-    required = {"hash", "scenario_result"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"store record missing fields: {sorted(missing)}"
-        )
-    return StoreRecord(
-        hash=str(data["hash"]),
-        code_version=str(data.get("code_version", "")),
-        created_at=float(data.get("created_at", 0.0)),
-        scenario_result=scenario_result_from_dict(data["scenario_result"]),
-        checksum=str(data.get("checksum", "")),
-    )
-
-
-def job_record_to_dict(record: "JobRecord") -> "dict[str, Any]":
-    """JobRecord -> JSON-safe dict; inverse of :func:`job_record_from_dict`.
-
-    The wire form of a job's status (what ``GET /jobs/{id}`` returns):
-    identity, lifecycle state, the plan's content hash, the ordered
-    per-scenario hashes with the source each result came from
-    (``store`` / ``computed`` / ``inflight`` / ``pending``), and
-    counters summarising how much work the store and the single-flight
-    dedupe saved.
-    """
-    return {
-        "id": record.id,
-        "status": record.status,
-        "plan_name": record.plan_name,
-        "plan_hash": record.plan_hash,
-        "scenario_hashes": list(record.scenario_hashes),
-        "sources": list(record.sources),
-        "store_hits": record.store_hits,
-        "computed": record.computed,
-        "deduped": record.deduped,
-        "elapsed_s": record.elapsed_s,
-        "error": record.error,
-        "priority": record.priority,
-        "timeout_s": record.timeout_s,
-    }
-
-
-def job_record_from_dict(data: Mapping[str, Any]) -> "JobRecord":
-    """JSON record -> JobRecord (inverse of the exporter).
-
-    Used by the service client to rebuild typed job statuses from the
-    HTTP responses; absent counters come back as zero and an absent
-    error as ``None``.
-    """
-    from .service.jobs import JobRecord
-
-    required = {"id", "status"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"job record missing fields: {sorted(missing)}"
-        )
-    error = data.get("error")
-    timeout_s = data.get("timeout_s")
-    return JobRecord(
-        id=str(data["id"]),
-        status=str(data["status"]),
-        plan_name=str(data.get("plan_name", "plan")),
-        plan_hash=str(data.get("plan_hash", "")),
-        scenario_hashes=tuple(
-            str(h) for h in data.get("scenario_hashes", ())
-        ),
-        sources=tuple(str(s) for s in data.get("sources", ())),
-        store_hits=int(data.get("store_hits", 0)),
-        computed=int(data.get("computed", 0)),
-        deduped=int(data.get("deduped", 0)),
-        elapsed_s=float(data.get("elapsed_s", 0.0)),
-        error=None if error is None else str(error),
-        priority=int(data.get("priority", 1)),
-        timeout_s=None if timeout_s is None else float(timeout_s),
-    )
-
-
-def journal_entry_to_dict(entry: "JournalEntry") -> "dict[str, Any]":
-    """JournalEntry -> JSON-safe dict; inverse of :func:`journal_entry_from_dict`.
-
-    The on-disk line format of the write-ahead job journal
-    (:class:`~repro.service.journal.JobJournal`): the entry kind, its
-    timestamp, the job id it belongs to (empty for lease and marker
-    entries) and the kind-specific payload. Values pass through
-    :func:`_jsonable` so NumPy scalars in plan overrides serialise as
-    builtins, matching the hashing canonicalisation.
-    """
-    return {
-        "kind": entry.kind,
-        "at": entry.at,
-        "job_id": entry.job_id,
-        "data": {key: _jsonable(value) for key, value in entry.data.items()},
-    }
-
-
-def journal_entry_from_dict(data: Mapping[str, Any]) -> "JournalEntry":
-    """JSON record -> JournalEntry (inverse of the exporter)."""
-    from .service.journal import JournalEntry
-
-    if "kind" not in data:
-        raise ConfigurationError(
-            f"journal entry needs a 'kind': {dict(data)!r}"
-        )
-    payload = data.get("data") or {}
-    if not isinstance(payload, Mapping):
-        raise ConfigurationError(
-            f"journal entry 'data' must be an object, got {payload!r}"
-        )
-    return JournalEntry(
-        kind=str(data["kind"]),
-        at=float(data.get("at", 0.0)),
-        job_id=str(data.get("job_id", "")),
-        data=dict(payload),
-    )
-
-
-def lease_record_to_dict(lease: "LeaseRecord") -> "dict[str, Any]":
-    """LeaseRecord -> JSON-safe dict; inverse of :func:`lease_record_from_dict`.
-
-    The wire form of one plan-level compute claim: which owner may run
-    which plan hash for which job, and until when (the TTL heartbeat
-    keeps pushing ``expires_at`` forward while the compute runs).
-    """
-    return {
-        "plan_hash": lease.plan_hash,
-        "owner_id": lease.owner_id,
-        "job_id": lease.job_id,
-        "acquired_at": lease.acquired_at,
-        "expires_at": lease.expires_at,
-    }
-
-
-def lease_record_from_dict(data: Mapping[str, Any]) -> "LeaseRecord":
-    """JSON record -> LeaseRecord (inverse of the exporter)."""
-    from .service.journal import LeaseRecord
-
-    required = {"plan_hash", "owner_id"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigurationError(
-            f"lease record missing fields: {sorted(missing)}"
-        )
-    return LeaseRecord(
-        plan_hash=str(data["plan_hash"]),
-        owner_id=str(data["owner_id"]),
-        job_id=str(data.get("job_id", "")),
-        acquired_at=float(data.get("acquired_at", 0.0)),
-        expires_at=float(data.get("expires_at", 0.0)),
-    )
 
 
 def save_json(data: Mapping[str, Any], path: "str | Path") -> Path:

@@ -61,7 +61,8 @@ import threading
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError
-from ..io import job_record_to_dict, run_plan_from_dict, store_record_to_dict
+from ..api.plan import RunPlan
+from ..io import from_record, store_record_to_dict, to_record
 from .jobs import JobManager, JobQueueFull, RateLimiter, retry_after_seconds
 from .journal import JobJournal
 from .store import ResultStore, StoreIntegrityError
@@ -346,12 +347,12 @@ class ServiceApp:
             record = self.manager.record_of(path[len("/jobs/"):])
             if record is None:
                 return 404, {"error": "no such job"}, {}
-            return 200, job_record_to_dict(record), {}
+            return 200, to_record(record), {}
         if method == "DELETE" and path.startswith("/jobs/"):
             record = await self.manager.cancel(path[len("/jobs/"):])
             if record is None:
                 return 404, {"error": "no such job"}, {}
-            return 200, job_record_to_dict(record), {}
+            return 200, to_record(record), {}
         if method == "GET" and path.startswith("/results/"):
             hash_ = path[len("/results/"):]
             try:
@@ -485,7 +486,7 @@ class ServiceApp:
                     {"error": f"timeout_s must be a number, got {timeout_raw!r}"},
                     {},
                 )
-        plan = run_plan_from_dict(record)
+        plan = from_record(RunPlan, record)
         try:
             options: "dict[str, Any]" = {}
             if priority is not None:
@@ -499,7 +500,7 @@ class ServiceApp:
                 {"error": str(exc), "retry_after_s": 1},
                 {"Retry-After": "1"},
             )
-        return 202, job_record_to_dict(job.record()), {}
+        return 202, to_record(job.record()), {}
 
 
 async def _read_request(

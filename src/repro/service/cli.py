@@ -41,7 +41,7 @@ from typing import Sequence
 
 from ..api.plan import RunPlan
 from ..errors import ReproError
-from ..io import job_record_to_dict, store_record_to_dict
+from ..io import store_record_to_dict, to_record
 from .app import ServiceApp
 from .client import SimulationServiceClient
 from .store import ResultStore
@@ -367,18 +367,14 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             )
             if args.wait:
                 record = client.wait(record.id, timeout_s=args.timeout)
-            print(json.dumps(job_record_to_dict(record), indent=2))
+            print(json.dumps(to_record(record), indent=2))
             return 0 if record.status in ("queued", "running", "done") else 1
         if args.command == "status":
-            print(
-                json.dumps(
-                    job_record_to_dict(client.job(args.job_id)), indent=2
-                )
-            )
+            print(json.dumps(to_record(client.job(args.job_id)), indent=2))
             return 0
         if args.command == "cancel":
             record = client.cancel(args.job_id)
-            print(json.dumps(job_record_to_dict(record), indent=2))
+            print(json.dumps(to_record(record), indent=2))
             return 0 if record.status == "cancelled" else 1
         if args.command == "prune":
             report = client.prune(

@@ -4,7 +4,7 @@
 :mod:`repro.service.app` with ``urllib`` alone, returning the same
 typed records the server works with (:class:`~repro.service.jobs.JobRecord`,
 :class:`~repro.service.store.StoreRecord`) by round-tripping through
-the :mod:`repro.io` converters -- so a fetched result is bit-identical
+the :mod:`repro.io` codec -- so a fetched result is bit-identical
 to what the server computed.
 
 Transient failures are retried the way a well-behaved client of a
@@ -30,15 +30,11 @@ import urllib.request
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..errors import ReproError
-from ..io import (
-    job_record_from_dict,
-    run_plan_to_dict,
-    store_record_from_dict,
-)
+from ..io import from_record, store_record_from_dict, to_record
+from .jobs import JobRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..api.plan import RunPlan, ScenarioResult
-    from .jobs import JobRecord
     from .store import StoreRecord
 
 #: HTTP statuses worth retrying: rate limit and transient unavailability.
@@ -171,13 +167,13 @@ class SimulationServiceClient:
         typed ``timeout`` state by the server's watchdog when it
         expires. Omitted means no deadline.
         """
-        body = run_plan_to_dict(plan)
+        body = to_record(plan)
         if priority is not None:
             body["priority"] = priority
         if timeout_s is not None:
             body["timeout_s"] = float(timeout_s)
         payload = self._request("POST", "/plans", body=body)
-        return job_record_from_dict(payload)
+        return from_record(JobRecord, payload)
 
     def job(self, job_id: str) -> "JobRecord":
         """GET /jobs/{id} -- the job's current status record.
@@ -186,7 +182,7 @@ class SimulationServiceClient:
         than a 404 -- the id was real, its state has been garbage
         collected.
         """
-        return job_record_from_dict(self._request("GET", f"/jobs/{job_id}"))
+        return from_record(JobRecord, self._request("GET", f"/jobs/{job_id}"))
 
     def cancel(self, job_id: str) -> "JobRecord":
         """DELETE /jobs/{id} -- cancel a job; returns its final record.
@@ -196,8 +192,8 @@ class SimulationServiceClient:
         genuinely cancelled job reports ``cancelled``. Retries follow
         the same policy as every other request.
         """
-        return job_record_from_dict(
-            self._request("DELETE", f"/jobs/{job_id}")
+        return from_record(
+            JobRecord, self._request("DELETE", f"/jobs/{job_id}")
         )
 
     def prune(

@@ -78,7 +78,7 @@ from ..api.executor import run_plan_parallel
 from ..api.hashing import plan_hash, scenario_hash
 from ..api.plan import RunPlan
 from ..errors import ConfigurationError, ReproError
-from ..io import run_plan_from_dict, run_plan_to_dict
+from ..io import from_record, to_record
 from .journal import JobJournal
 from .store import ResultStore
 
@@ -694,7 +694,7 @@ class JobManager:
                 "accepted",
                 job_id=job.id,
                 data={
-                    "plan": run_plan_to_dict(plan),
+                    "plan": to_record(plan),
                     "plan_hash": job.plan_hash,
                     "priority": job.priority,
                     "timeout_s": job.timeout_s,
@@ -903,9 +903,7 @@ class JobManager:
         requeue: "list[Job]" = []
         for jstate in state.jobs.values():
             try:
-                plan: "RunPlan | None" = run_plan_from_dict(
-                    jstate.plan_record
-                )
+                plan: "RunPlan | None" = from_record(RunPlan, jstate.plan_record)
             except Exception:
                 plan = None
             job = Job(

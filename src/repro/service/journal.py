@@ -354,9 +354,9 @@ class JobJournal:
             job_id=job_id,
             data=dict(data or {}),
         )
-        from ..io import journal_entry_to_dict
+        from ..io import to_record
 
-        record = journal_entry_to_dict(entry)
+        record = to_record(entry)
         line = json.dumps(record, sort_keys=True) + "\n"
         fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
@@ -399,7 +399,7 @@ class JobJournal:
         """
         self.refresh()
         state = self.state
-        from ..io import journal_entry_to_dict
+        from ..io import to_record
 
         entries: "list[JournalEntry]" = []
         for job in state.jobs.values():
@@ -462,7 +462,7 @@ class JobJournal:
                     )
                 )
         payload = "".join(
-            json.dumps(journal_entry_to_dict(e), sort_keys=True) + "\n"
+            json.dumps(to_record(e), sort_keys=True) + "\n"
             for e in entries
         )
         fd, tmp_name = tempfile.mkstemp(

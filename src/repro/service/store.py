@@ -32,11 +32,12 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..api.hashing import code_version, scenario_hash
+from ..api.plan import ScenarioResult  # resolves StoreRecord's type hints
 from ..engine.cache import CacheStats
 from ..errors import ConfigurationError
 
@@ -57,7 +58,7 @@ def result_checksum(scenario_result_record: "Mapping[str, Any]") -> str:
     """The sha256 content checksum of one serialised scenario result.
 
     Computed over the compact, key-sorted JSON of the
-    :func:`~repro.io.scenario_result_to_dict` record -- deterministic
+    ``"scenario_result"`` record of a store object -- deterministic
     across processes and stable through a JSON round trip, so
     :meth:`ResultStore.verify` can recompute it from the file alone.
     """
@@ -69,7 +70,7 @@ def result_checksum(scenario_result_record: "Mapping[str, Any]") -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ..api.plan import PlanResult, RunPlan, ScenarioResult
+    from ..api.plan import PlanResult, RunPlan
     from ..api.session import SimulationSession
 
 
@@ -203,19 +204,19 @@ class ResultStore:
             existing = None
         if existing is not None:
             return existing
-        result_record = io.scenario_result_to_dict(scenario_result)
         record = StoreRecord(
             hash=hash_,
             code_version=code_version(),
             created_at=time.time(),
             scenario_result=scenario_result,
-            checksum=result_checksum(result_record),
         )
+        # Encode once: the checksum covers the object's own payload.
+        obj = io.store_record_to_dict(record)
+        obj["checksum"] = result_checksum(obj["scenario_result"])
+        record = replace(record, checksum=obj["checksum"])
         path = self.object_path(hash_)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            io.store_record_to_dict(record), indent=2, sort_keys=True
-        )
+        payload = json.dumps(obj, indent=2, sort_keys=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{hash_[:8]}-", suffix=".tmp"
         )

@@ -119,31 +119,16 @@ class FaultSpec:
 
     def to_dict(self) -> "dict[str, Any]":
         """JSON-safe record; inverse of :meth:`from_dict`."""
-        return {
-            "kind": self.kind,
-            "shard": self.shard,
-            "attempt": self.attempt,
-            "position": self.position,
-            "seconds": self.seconds,
-            "message": self.message,
-        }
+        from ..io import to_record
+
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, data: "Mapping[str, Any]") -> "FaultSpec":
         """Rebuild a spec from its JSON record."""
-        if "kind" not in data:
-            raise ReproError(f"fault spec needs a 'kind': {dict(data)!r}")
-        return cls(
-            kind=str(data["kind"]),
-            shard=(None if data.get("shard") is None
-                   else int(data["shard"])),
-            attempt=(None if data.get("attempt") is None
-                     else int(data["attempt"])),
-            position=(None if data.get("position") is None
-                      else int(data["position"])),
-            seconds=float(data.get("seconds", 60.0)),
-            message=str(data.get("message", "injected fault")),
-        )
+        from ..io import from_record
+
+        return from_record(cls, data)
 
 
 def encode_faults(specs: "tuple[FaultSpec, ...] | list[FaultSpec]") -> str:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import RunPlan, Scenario, SimulationSession, run_scenario
 from repro.errors import ConfigurationError
-from repro.io import plan_result_to_dict, run_plan_from_dict, run_plan_to_dict
+from repro.io import from_record, plan_result_to_dict, to_record
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ class TestRunScenario:
 
 class TestPlanSerialization:
     def test_dict_round_trip(self, plan):
-        assert run_plan_from_dict(run_plan_to_dict(plan)) == plan
+        assert from_record(RunPlan, to_record(plan)) == plan
 
     def test_file_round_trip(self, plan, tmp_path):
         path = plan.save(tmp_path / "plan.json")

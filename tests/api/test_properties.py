@@ -31,14 +31,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.api import RunPlan, Scenario, ScenarioResult  # noqa: E402
 from repro.engine.cache import CacheStats  # noqa: E402
 from repro.experiments.base import ExperimentResult, ShapeCheck  # noqa: E402
-from repro.io import (  # noqa: E402
-    run_plan_from_dict,
-    run_plan_to_dict,
-    scenario_from_dict,
-    scenario_result_from_dict,
-    scenario_result_to_dict,
-    scenario_to_dict,
-)
+from repro.io import from_record, to_record  # noqa: E402
 from repro.reporting.ascii_plot import PlotSeries  # noqa: E402
 
 # JSON-representable scalars that survive a text round trip exactly:
@@ -98,7 +91,7 @@ class TestScenarioRoundTrip:
     @given(scenario=scenarios())
     def test_json_round_trip_is_identity(self, scenario):
         """Scenario -> JSON text -> Scenario reproduces the original."""
-        rebuilt = scenario_from_dict(_through_json(scenario_to_dict(scenario)))
+        rebuilt = from_record(Scenario, _through_json(to_record(scenario)))
         assert rebuilt == scenario
         assert rebuilt.name == scenario.name
 
@@ -106,7 +99,7 @@ class TestScenarioRoundTrip:
     @given(plan=plans())
     def test_plan_json_round_trip_is_identity(self, plan):
         """RunPlan -> JSON text -> RunPlan reproduces the original."""
-        assert run_plan_from_dict(_through_json(run_plan_to_dict(plan))) == plan
+        assert from_record(RunPlan, _through_json(to_record(plan))) == plan
 
 
 class TestExpansionInvariants:
@@ -239,9 +232,9 @@ class TestScenarioResultRoundTrip:
         holds numpy arrays, whose ``==`` is elementwise), which is
         exactly the fidelity the executor and io layers rely on.
         """
-        record = scenario_result_to_dict(result)
-        rebuilt = scenario_result_from_dict(_through_json(record))
-        assert scenario_result_to_dict(rebuilt) == record
+        record = to_record(result)
+        rebuilt = from_record(ScenarioResult, _through_json(record))
+        assert to_record(rebuilt) == record
         assert rebuilt.scenario == result.scenario
         assert rebuilt.reused_hits == result.reused_hits
         assert rebuilt.cache_stats == result.cache_stats

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.errors import ConfigurationError
-from repro.io import scenario_from_dict, scenario_to_dict
+from repro.io import from_record, to_record
 
 
 class TestValidation:
@@ -70,7 +70,7 @@ class TestJsonRoundTrip:
             sweep={"temperature_k": [0.0, 300.0]},
             label="oxide-study",
         )
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        assert from_record(Scenario, to_record(scenario)) == scenario
 
     def test_file_round_trip(self, tmp_path):
         scenario = Scenario("fig6", overrides={"temperature_k": 400.0})
@@ -80,15 +80,15 @@ class TestJsonRoundTrip:
     def test_record_is_plain_json(self):
         import json
 
-        record = scenario_to_dict(
+        record = to_record(
             Scenario("fig6", overrides={"gcrs": (0.4, 0.6)})
         )
         assert json.loads(json.dumps(record)) == record
 
     def test_unknown_record_fields_rejected(self):
         with pytest.raises(ConfigurationError):
-            scenario_from_dict({"experiment_id": "fig6", "bogus": 1})
+            from_record(Scenario, {"experiment_id": "fig6", "bogus": 1})
 
     def test_missing_id_rejected(self):
         with pytest.raises(ConfigurationError):
-            scenario_from_dict({"overrides": {}})
+            from_record(Scenario, {"overrides": {}})

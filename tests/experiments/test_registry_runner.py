@@ -107,11 +107,12 @@ class TestRunnerJsonExport:
         assert all(c["passed"] for c in record["checks"])
 
     def test_json_round_trip_through_io(self, tmp_path):
-        from repro.io import experiment_result_from_dict, load_json
+        from repro.experiments.base import ExperimentResult
+        from repro.io import from_record, load_json
 
         main(["fig6", "--no-plot", "--json-dir", str(tmp_path)])
-        restored = experiment_result_from_dict(
-            load_json(tmp_path / "fig6.json")
+        restored = from_record(
+            ExperimentResult, load_json(tmp_path / "fig6.json")
         )
         import numpy as np
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunPlan, Scenario, SimulationSession
-from repro.io import run_plan_to_dict, scenario_result_to_dict
+from repro.io import to_record
 from repro.service import (
     ResultStore,
     ServiceApp,
@@ -122,6 +122,53 @@ class TestEndpoints:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                {"scenarios": [5]},
+                "scenario record: expected object, got number",
+            ),
+            ({"scenarios": None}, "'scenarios': expected list, got null"),
+            (
+                {"scenarios": [{"experiment_id": "fig6", "overrides": None}]},
+                "'overrides': expected object, got null",
+            ),
+            (
+                {"scenarios": [{"experiment_id": "fig6", "overrides": [1, 2]}]},
+                "'overrides': expected object, got list",
+            ),
+            (
+                {
+                    "scenarios": [
+                        {
+                            "experiment_id": "fig6",
+                            "sweep": {"tunnel_oxide_nm": "abc"},
+                        }
+                    ]
+                },
+                "'sweep': expected list, got string",
+            ),
+        ],
+        ids=[
+            "scenario-not-object",
+            "scenarios-null",
+            "overrides-null",
+            "overrides-list",
+            "sweep-axis-string",
+        ],
+    )
+    def test_malformed_plan_record_is_400(self, service, body, message):
+        request = urllib.request.Request(
+            f"{service.url}/plans",
+            data=json.dumps(body).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 400
+        assert message in json.loads(err.value.read())["error"]
+
 
 class TestBitIdentity:
     def test_service_results_match_serial_run_exactly(self, service):
@@ -141,8 +188,8 @@ class TestBitIdentity:
             # Whole-record identity on the canonical export form (JSON
             # has no tuples, so compare both sides post-normalisation).
             # Only wall-clock timing may differ between the two runs.
-            got_record = scenario_result_to_dict(got)
-            ref_record = scenario_result_to_dict(ref)
+            got_record = to_record(got)
+            ref_record = to_record(ref)
             got_record.pop("elapsed_s")
             ref_record.pop("elapsed_s")
             assert got_record == ref_record
@@ -230,7 +277,7 @@ class TestSingleFlightOverHttp:
 class TestRateLimitAndQueue:
     def test_rate_limit_returns_429_with_retry_after(self, tmp_path):
         app = _app(tmp_path / "store", rate_per_s=1.0, burst=1.0)
-        body = json.dumps(run_plan_to_dict(_plan())).encode()
+        body = json.dumps(to_record(_plan())).encode()
         with ServiceThread(app) as thread:
             def post():
                 request = urllib.request.Request(
@@ -268,7 +315,7 @@ class TestRateLimitAndQueue:
             "submit",
             lambda plan: (_ for _ in ()).throw(JobQueueFull("queue full")),
         )
-        body = json.dumps(run_plan_to_dict(_plan())).encode()
+        body = json.dumps(to_record(_plan())).encode()
         with ServiceThread(app) as thread:
             request = urllib.request.Request(
                 f"{thread.url}/plans", data=body, method="POST"
@@ -329,7 +376,7 @@ class TestCancelAndPruneEndpoints:
             assert err.value.code == 400
 
     def test_bad_priority_is_400(self, service):
-        body = dict(run_plan_to_dict(_plan()), priority="urgent")
+        body = dict(to_record(_plan()), priority="urgent")
         request = urllib.request.Request(
             f"{service.url}/plans",
             data=json.dumps(body).encode(),

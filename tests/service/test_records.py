@@ -27,16 +27,10 @@ from repro.errors import ConfigurationError  # noqa: E402
 from repro.experiments.base import ExperimentResult, ShapeCheck  # noqa: E402
 from repro.api.plan import ShardFailure  # noqa: E402
 from repro.io import (  # noqa: E402
-    job_record_from_dict,
-    job_record_to_dict,
-    journal_entry_from_dict,
-    journal_entry_to_dict,
-    lease_record_from_dict,
-    lease_record_to_dict,
-    shard_failure_from_dict,
-    shard_failure_to_dict,
+    from_record,
     store_record_from_dict,
     store_record_to_dict,
+    to_record,
 )
 from repro.reporting.ascii_plot import PlotSeries  # noqa: E402
 from repro.service.jobs import (  # noqa: E402
@@ -195,13 +189,13 @@ class TestJobRecordRoundTrip:
     @given(record=job_records())
     def test_json_round_trip_is_identity(self, record):
         """JobRecord -> JSON text -> JobRecord reproduces the original."""
-        rebuilt = job_record_from_dict(
-            _through_json(job_record_to_dict(record))
+        rebuilt = from_record(
+            JobRecord, _through_json(to_record(record))
         )
         assert rebuilt == record
 
     def test_absent_counters_default_to_zero(self):
-        rebuilt = job_record_from_dict({"id": "job-1", "status": "queued"})
+        rebuilt = from_record(JobRecord, {"id": "job-1", "status": "queued"})
         assert rebuilt.store_hits == 0
         assert rebuilt.computed == 0
         assert rebuilt.deduped == 0
@@ -211,26 +205,26 @@ class TestJobRecordRoundTrip:
 
     def test_absent_priority_defaults_to_normal(self):
         # Records from a pre-priority server must still parse.
-        rebuilt = job_record_from_dict({"id": "job-1", "status": "done"})
+        rebuilt = from_record(JobRecord, {"id": "job-1", "status": "done"})
         assert rebuilt.priority == 1
 
     def test_expired_record_round_trips(self):
         record = expired_job_record("job-9")
-        rebuilt = job_record_from_dict(
-            _through_json(job_record_to_dict(record))
+        rebuilt = from_record(
+            JobRecord, _through_json(to_record(record))
         )
         assert rebuilt == record
         assert rebuilt.status == "expired"
 
     def test_missing_fields_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            job_record_from_dict({"id": "job-1"})
+            from_record(JobRecord, {"id": "job-1"})
         with pytest.raises(ConfigurationError):
-            job_record_from_dict({"status": "done"})
+            from_record(JobRecord, {"status": "done"})
 
     def test_absent_timeout_defaults_to_none(self):
         # Records from a pre-deadline server must still parse.
-        rebuilt = job_record_from_dict({"id": "job-1", "status": "done"})
+        rebuilt = from_record(JobRecord, {"id": "job-1", "status": "done"})
         assert rebuilt.timeout_s is None
 
 
@@ -266,14 +260,14 @@ class TestShardFailureRoundTrip:
     @given(failure=shard_failures())
     def test_json_round_trip_is_identity(self, failure):
         """ShardFailure -> JSON text -> ShardFailure reproduces it."""
-        rebuilt = shard_failure_from_dict(
-            _through_json(shard_failure_to_dict(failure))
+        rebuilt = from_record(
+            ShardFailure, _through_json(to_record(failure))
         )
         assert rebuilt == failure
 
     def test_optional_fields_default(self):
-        rebuilt = shard_failure_from_dict(
-            {"index": 2, "positions": [3, 5], "cause": "timeout"}
+        rebuilt = from_record(
+            ShardFailure, {"index": 2, "positions": [3, 5], "cause": "timeout"}
         )
         assert rebuilt.scenario_ids == ()
         assert rebuilt.attempts == 0
@@ -282,9 +276,9 @@ class TestShardFailureRoundTrip:
 
     def test_missing_fields_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            shard_failure_from_dict({"index": 0, "positions": [1]})
+            from_record(ShardFailure, {"index": 0, "positions": [1]})
         with pytest.raises(ConfigurationError):
-            shard_failure_from_dict({"cause": "error"})
+            from_record(ShardFailure, {"cause": "error"})
 
 
 json_scalars = st.one_of(st.none(), st.booleans(), finite, names)
@@ -328,24 +322,24 @@ class TestJournalEntryRoundTrip:
     @given(entry=journal_entries())
     def test_json_round_trip_is_identity(self, entry):
         """JournalEntry -> JSON line -> JournalEntry reproduces it."""
-        rebuilt = journal_entry_from_dict(
-            _through_json(journal_entry_to_dict(entry))
+        rebuilt = from_record(
+            JournalEntry, _through_json(to_record(entry))
         )
         assert rebuilt == entry
 
     def test_optional_fields_default(self):
-        rebuilt = journal_entry_from_dict({"kind": "boot"})
+        rebuilt = from_record(JournalEntry, {"kind": "boot"})
         assert rebuilt.at == 0.0
         assert rebuilt.job_id == ""
         assert rebuilt.data == {}
 
     def test_missing_kind_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            journal_entry_from_dict({"at": 1.0, "job_id": "job-1"})
+            from_record(JournalEntry, {"at": 1.0, "job_id": "job-1"})
 
     def test_non_object_data_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            journal_entry_from_dict({"kind": "accepted", "data": [1, 2]})
+            from_record(JournalEntry, {"kind": "accepted", "data": [1, 2]})
 
 
 class TestLeaseRecordRoundTrip:
@@ -353,13 +347,13 @@ class TestLeaseRecordRoundTrip:
     @given(lease=lease_records())
     def test_json_round_trip_is_identity(self, lease):
         """LeaseRecord -> JSON text -> LeaseRecord reproduces it."""
-        rebuilt = lease_record_from_dict(
-            _through_json(lease_record_to_dict(lease))
+        rebuilt = from_record(
+            LeaseRecord, _through_json(to_record(lease))
         )
         assert rebuilt == lease
 
     def test_missing_fields_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            lease_record_from_dict({"plan_hash": "ab" * 32})
+            from_record(LeaseRecord, {"plan_hash": "ab" * 32})
         with pytest.raises(ConfigurationError):
-            lease_record_from_dict({"owner_id": "me"})
+            from_record(LeaseRecord, {"owner_id": "me"})

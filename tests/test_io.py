@@ -5,16 +5,13 @@ import pytest
 from repro.device import FloatingGateTransistor, PROGRAM_BIAS
 from repro.device.geometry import DeviceGeometry
 from repro.errors import ConfigurationError
+from repro.experiments.base import ExperimentResult
 from repro.io import (
-    design_point_from_dict,
-    design_point_to_dict,
-    device_from_dict,
-    device_to_dict,
     experiment_result_to_dict,
-    geometry_from_dict,
-    geometry_to_dict,
+    from_record,
     load_json,
     save_json,
+    to_record,
 )
 from repro.optimization import DesignPoint
 from repro.units import nm_to_m
@@ -23,7 +20,7 @@ from repro.units import nm_to_m
 class TestGeometryRoundTrip:
     def test_default_round_trip(self):
         g = DeviceGeometry()
-        assert geometry_from_dict(geometry_to_dict(g)) == g
+        assert from_record(DeviceGeometry, to_record(g)) == g
 
     def test_custom_round_trip(self):
         g = DeviceGeometry(
@@ -31,24 +28,24 @@ class TestGeometryRoundTrip:
             control_oxide_thickness_m=nm_to_m(10.0),
             control_gate_area_multiplier=2.5,
         )
-        assert geometry_from_dict(geometry_to_dict(g)) == g
+        assert from_record(DeviceGeometry, to_record(g)) == g
 
     def test_validation_reapplied_on_load(self):
-        record = geometry_to_dict(DeviceGeometry())
+        record = to_record(DeviceGeometry())
         record["tunnel_oxide_thickness_m"] = 1e-8  # > control oxide
         with pytest.raises(ConfigurationError):
-            geometry_from_dict(record)
+            from_record(DeviceGeometry, record)
 
 
 class TestDeviceRoundTrip:
     def test_default_device(self):
         device = FloatingGateTransistor()
-        restored = device_from_dict(device_to_dict(device))
+        restored = from_record(FloatingGateTransistor, to_record(device))
         assert restored == device
 
     def test_restored_device_behaves_identically(self):
         device = FloatingGateTransistor()
-        restored = device_from_dict(device_to_dict(device))
+        restored = from_record(FloatingGateTransistor, to_record(device))
         assert restored.floating_gate_voltage(
             PROGRAM_BIAS
         ) == pytest.approx(device.floating_gate_voltage(PROGRAM_BIAS))
@@ -57,22 +54,22 @@ class TestDeviceRoundTrip:
         )
 
     def test_materials_resolved_by_name(self):
-        record = device_to_dict(FloatingGateTransistor())
+        record = to_record(FloatingGateTransistor())
         assert record["tunnel_dielectric"] == "SiO2"
-        restored = device_from_dict(record)
+        restored = from_record(FloatingGateTransistor, record)
         assert restored.tunnel_dielectric.name == "SiO2"
 
     def test_missing_field_rejected(self):
-        record = device_to_dict(FloatingGateTransistor())
+        record = to_record(FloatingGateTransistor())
         del record["geometry"]
         with pytest.raises(ConfigurationError):
-            device_from_dict(record)
+            from_record(FloatingGateTransistor, record)
 
 
 class TestDesignPointRoundTrip:
     def test_round_trip(self):
         point = DesignPoint(program_voltage_v=16.0, tunnel_oxide_nm=6.0)
-        assert design_point_from_dict(design_point_to_dict(point)) == point
+        assert from_record(DesignPoint, to_record(point)) == point
 
 
 class TestExperimentExport:
@@ -92,11 +89,9 @@ class TestExperimentExport:
         import numpy as np
 
         from repro.experiments import run_experiment
-        from repro.io import experiment_result_from_dict
-
         result = run_experiment("fig8")
-        restored = experiment_result_from_dict(
-            experiment_result_to_dict(result)
+        restored = from_record(
+            ExperimentResult, experiment_result_to_dict(result)
         )
         assert restored.experiment_id == result.experiment_id
         assert restored.log_y == result.log_y
@@ -111,31 +106,26 @@ class TestExperimentExport:
 
     def test_round_trip_through_file(self, tmp_path):
         from repro.experiments import run_experiment
-        from repro.io import experiment_result_from_dict
-
         result = run_experiment("fig6")
         path = save_json(
             experiment_result_to_dict(result), tmp_path / "fig6.json"
         )
-        restored = experiment_result_from_dict(load_json(path))
+        restored = from_record(ExperimentResult, load_json(path))
         assert restored.render_plot()  # reconstructable figure
 
     def test_incomplete_result_record_rejected(self):
-        from repro.io import experiment_result_from_dict
-
         with pytest.raises(ConfigurationError):
-            experiment_result_from_dict({"experiment_id": "fig6"})
+            from_record(ExperimentResult, {"experiment_id": "fig6"})
 
     def test_scenario_result_record_is_json_safe(self):
         import json
 
         from repro.api import Scenario, SimulationSession
-        from repro.io import scenario_result_to_dict
 
         outcome = SimulationSession().run_scenario(
             Scenario("fig6", overrides={"n_points": 10})
         )
-        record = scenario_result_to_dict(outcome)
+        record = to_record(outcome)
         text = json.dumps(record)
         assert "fig6" in text
         assert record["cache"]["misses"] >= 0
@@ -143,7 +133,7 @@ class TestExperimentExport:
 
 class TestFileIo:
     def test_save_load_round_trip(self, tmp_path):
-        record = device_to_dict(FloatingGateTransistor())
+        record = to_record(FloatingGateTransistor())
         path = save_json(record, tmp_path / "device.json")
         assert load_json(path) == record
 
