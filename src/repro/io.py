@@ -187,7 +187,7 @@ def _type_codec(tp: Any, where: str) -> "tuple[Encode | None, Decode | None, Any
         enc, dec, _ = _type_codec(inner, where)
         return (enc and (lambda v: None if v is None else enc(v)),
                 dec and (lambda raw: None if raw is None else dec(raw)), None)
-    if origin in (tuple, Sequence) and args[-1] in (..., Any):
+    if origin is Sequence or origin is tuple and args[-1] is ...:
         enc, dec, _ = _type_codec(args[0], where)
         to_wire = list if enc is None else (lambda v: [enc(x) for x in v])
         convert = tuple if dec is None else (lambda r: tuple([dec(x) for x in r]))
