@@ -137,6 +137,8 @@ def _checked(ok: Any, kind: str, convert: Decode, where: str) -> Decode:
             raise _shape_error(where, kind, raw)
         try:
             return convert(raw)
+        except ConfigurationError:  # an element's error already names it
+            raise
         except (TypeError, ValueError) as exc:  # e.g. a string in an array
             raise ConfigurationError(f"{where}: {exc}") from exc
 
@@ -201,12 +203,9 @@ def _type_codec(tp: Any, where: str) -> "tuple[Encode | None, Decode | None, Any
 
 
 def _compile(cls: type) -> "tuple[Encode, Decode]":
-    """Generate one record class's straight-line encoder and decoder.
-
-    Like :mod:`dataclasses`, it compiles source once per class, so a call
-    does no reflection and no loop over fields."""
-    row = _WIRE.get(cls.__name__)
-    if row is None or not dataclasses.is_dataclass(cls):
+    """Generate one record class's straight-line encoder and decoder: source
+    compiled once per class, as :mod:`dataclasses` does, so calls never reflect."""
+    if (row := _WIRE.get(cls.__name__)) is None or not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls.__name__} has no wire format")
     hints = typing.get_type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls)}
