@@ -65,17 +65,21 @@ _RESOLVED: "dict[str, Runner]" = {}
 #: Values are **measured**, not hand-tuned: best-of-3 default-parameter
 #: wall clock on a warm session, normalized to the median cheap figure
 #: sweep (regenerate with ``python benchmarks/measure_costs.py`` after
-#: performance work; last measured after the batched electrostatics +
-#: reliability backend landed, which added the rel-* experiments and
-#: trimmed device-summary's endurance share).
+#: performance work; last measured after ISPP moved to pulse blocks,
+#: which added the mem-* rows; the other rows were re-measured within
+#: ~10% of their values and kept).
 _COST_HINTS: "dict[str, float]" = {
     "abl-wkb": 198.0,  # batched Tsu-Esaki transfer-matrix integrals
+    "mem-ftl": 160.0,  # 600+ ISPP page programs under FTL churn
     "device-summary": 103.0,  # program + erase transients + retention
     "cmp-si": 23.0,  # two full device transients + leakage
     "rel-endurance": 18.0,  # shared stress transients + wear kernel
+    "mem-disturb": 11.0,  # disturb accumulation + RTN ensemble
     "erase-transient": 10.0,  # program equilibrium + erase transient
+    "mem-mlc": 9.0,  # MLC staircase program + read
     "fig5": 7.5,  # transient sampling
     "cmp-che": 6.7,
+    "mem-array": 5.1,  # SLC page-batch program + populations
     "fig4": 4.5,  # transient sampling
     "fig2": 3.0,  # band-diagram assembly
 }

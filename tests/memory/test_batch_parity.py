@@ -39,6 +39,7 @@ from repro.memory import (  # noqa: E402
     program_page_batch,
     program_page_scalar_reference,
 )
+from repro.memory.ispp import BLOCK_CELLS, MIN_BLOCK_PULSES  # noqa: E402
 
 #: Shared geometry strategy: down to one page of one cell.
 pages = st.integers(min_value=1, max_value=4)
@@ -106,6 +107,100 @@ class TestIsppParity:
             batch.failed_mask, scalar.failed_mask
         )
         np.testing.assert_array_equal(batch.final_vt_v, scalar.final_vt_v)
+
+    @staticmethod
+    def assert_paths_agree(vt, select, policy, ceiling, seed):
+        """Both paths agree bit-exactly, down to the next RNG draw."""
+        rng_b = np.random.default_rng(seed)
+        rng_s = np.random.default_rng(seed)
+        batch = program_page_batch(vt, select, policy, rng_b, ceiling)
+        scalar = program_page_scalar_reference(
+            vt, select, policy, rng_s, ceiling
+        )
+        np.testing.assert_array_equal(batch.final_vt_v, scalar.final_vt_v)
+        np.testing.assert_array_equal(batch.pulses_used, scalar.pulses_used)
+        np.testing.assert_array_equal(batch.failed_mask, scalar.failed_mask)
+        assert rng_b.random() == rng_s.random()
+        return batch
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 32), (4, 24)])
+    @given(
+        seed=seeds,
+        max_pulses=st.integers(min_value=1, max_value=40),
+        sigma=st.sampled_from([0.0, 0.05, 0.4]),
+        first_shift=st.sampled_from([0.0, 0.6]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_pulse_blocks_match_scalar(
+        self, shape, seed, max_pulses, sigma, first_shift
+    ):
+        """Multi-pulse blocks, capped below and above the block size,
+        leave the same state and RNG stream as the per-cell loop."""
+        assert BLOCK_CELLS // (shape[0] * shape[1]) >= MIN_BLOCK_PULSES
+        rng = np.random.default_rng(seed)
+        vt = rng.normal(1.0, 0.3, size=shape)
+        select = rng.random(shape) < 0.8
+        policy = IsppPolicy(
+            verify_level_v=4.0,
+            step_v=0.4,
+            first_pulse_shift_v=first_shift,
+            noise_sigma_v=sigma,
+            max_pulses=max_pulses,
+        )
+        ceiling = 9.0 + rng.normal(0.0, 0.1, size=shape)
+        self.assert_paths_agree(vt, select, policy, ceiling, seed + 1)
+
+    @pytest.mark.parametrize(
+        "n_cells",
+        [BLOCK_CELLS // (MIN_BLOCK_PULSES - 1), BLOCK_CELLS + 1],
+    )
+    @given(seed=seeds, max_pulses=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=5, deadline=None)
+    def test_one_pulse_blocks_match_scalar(self, n_cells, seed, max_pulses):
+        """Pages too wide for a multi-pulse block run one pulse per pass."""
+        shape = (1, n_cells)
+        assert BLOCK_CELLS // n_cells < MIN_BLOCK_PULSES
+        rng = np.random.default_rng(seed)
+        vt = rng.normal(1.0, 0.3, size=shape)
+        select = rng.random(shape) < 0.5
+        policy = IsppPolicy(
+            verify_level_v=3.0, step_v=0.4, max_pulses=max_pulses
+        )
+        self.assert_paths_agree(vt, select, policy, np.inf, seed + 1)
+
+    @given(n_pages=pages, n_cells=cells, seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_ceiling_below_verify_fails_inside_a_block(
+        self, n_pages, n_cells, seed
+    ):
+        """Cells capped under the verify level fail mid-block while
+        their neighbours verify, identically in both paths."""
+        rng = np.random.default_rng(seed)
+        vt = rng.normal(1.0, 0.3, size=(n_pages, n_cells))
+        select = np.ones((n_pages, n_cells), dtype=bool)
+        ceiling = rng.uniform(3.0, 5.0, size=(n_pages, n_cells))
+        policy = IsppPolicy(verify_level_v=4.0, step_v=0.4, max_pulses=30)
+        batch = self.assert_paths_agree(vt, select, policy, ceiling, seed)
+        np.testing.assert_array_equal(batch.failed_mask, ceiling < 4.0)
+
+    @pytest.mark.parametrize(
+        "program", [program_page_batch, program_page_scalar_reference]
+    )
+    @given(n_pages=pages, n_cells=cells, seed=seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_nothing_pending_consumes_no_draws(
+        self, program, n_pages, n_cells, seed
+    ):
+        rng = np.random.default_rng(seed)
+        vt = rng.normal(1.0, 0.3, size=(n_pages, n_cells))
+        select = rng.random((n_pages, n_cells)) < 0.5
+        vt[select] += 10.0  # every selected cell is already verified
+        policy = IsppPolicy(verify_level_v=4.0)
+        before = rng.bit_generator.state
+        outcome = program(vt, select, policy, rng, np.inf)
+        assert rng.bit_generator.state == before
+        assert not outcome.pulses_used.any()
+        np.testing.assert_array_equal(outcome.final_vt_v, vt)
 
 
 class TestMlcParity:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, MemoryOperationError
-from repro.memory import IsppPolicy, program_page_batch
+from repro.memory import (
+    IsppPolicy,
+    program_page_batch,
+    program_page_scalar_reference,
+)
 
 
 @pytest.fixture()
@@ -102,3 +106,14 @@ class TestValidation:
             IsppPolicy(verify_level_v=1.0, step_v=0.0)
         with pytest.raises(ConfigurationError):
             IsppPolicy(verify_level_v=1.0, max_pulses=0)
+
+    @pytest.mark.parametrize(
+        "program", [program_page_batch, program_page_scalar_reference]
+    )
+    def test_nan_ceiling_rejected(self, cell_kernel, policy, rng, program):
+        """A NaN ceiling is an error in both paths, not a silent NaN Vt
+        (batch) or a failed cell (per-cell loop)."""
+        vt = np.full((1, 3), cell_kernel.erased_vt_v)
+        select = np.ones((1, 3), dtype=bool)
+        with pytest.raises(MemoryOperationError, match="NaN"):
+            program(vt, select, policy, rng, np.array([[np.nan, 5.0, 5.0]]))
