@@ -149,11 +149,14 @@ def ispp_step_batch(
     the pending cells only -- capped at the per-cell ``ceiling_v`` --
     and verifies against the policy's verify level. Returns the updated
     ``(vt_v, pending)`` pair; non-pending cells pass through bit-exactly.
+    A NaN anywhere in ``ceiling_v`` raises
+    :class:`~repro.errors.MemoryOperationError`.
     """
     vt_v = _as_page_matrix(vt_v, "vt_v")
     pending = _as_page_matrix(pending, "pending").astype(bool)
     if pending.shape != vt_v.shape:
         raise MemoryOperationError("pending mask must match the Vt matrix")
+    _check_ceiling(ceiling_v)
     noise = rng.normal(0.0, policy.noise_sigma_v, size=vt_v.shape)
     shift = np.maximum(shift_base_v + noise, 0.0)
     bumped = np.minimum(vt_v + shift, ceiling_v)

@@ -54,7 +54,6 @@ from .app import ServiceApp, ServiceThread
 from .client import JobLostError, ServiceError, SimulationServiceClient
 from .jobs import (
     PRIORITY_CLASSES,
-    Job,
     JobManager,
     JobQueueFull,
     JobRecord,
@@ -66,7 +65,7 @@ from .jobs import (
     expired_job_record,
     normalize_priority,
 )
-from .journal import JobJournal, JournalEntry, JournalState, LeaseRecord
+from .journal import Job, JobJournal, JournalEntry, JournalState, LeaseRecord
 from .store import (
     CorruptObject,
     ResultStore,

@@ -43,20 +43,17 @@ lifecycle layer on top:
   are persisted to the store before the job fails
   (:class:`PartialComputeError`), so resubmitting the same plan
   resumes from store hits instead of recomputing everything.
-
-* **Durability** -- a manager constructed with a
-  :class:`~repro.service.journal.JobJournal` writes every lifecycle
-  transition ahead of acting on it (the ``accepted`` entry is fsynced
-  before :meth:`JobManager.submit` returns -- the promise to the
-  client); :meth:`JobManager.recover` replays the journal on boot,
-  restores terminal job records, re-queues jobs that were accepted but
-  never finished (their re-run resolves through the store, so only
-  scenarios lost with the crash are recomputed), and restores the
-  evicted-id ``expired`` memory. A plan-level
-  :class:`~repro.service.journal.LeaseRecord` -- ``owner_id`` plus a
-  TTL heartbeat, arbitrated by journal log order -- keeps two replicas
-  sharing one store directory from double-running a plan; an expired
-  lease (crashed owner) is adopted by whoever claims it next.
+* **Durability** -- job lifecycle state is a private
+  :class:`~repro.service.journal.JournalState` that changes only
+  through ``JobManager._commit``: journal the entry (the ``accepted``
+  one fsynced before :meth:`JobManager.submit` returns), then fold
+  that same entry with :func:`~repro.service.journal.apply`, the
+  reducer the journal's own replay uses. :meth:`JobManager.recover`
+  adopts the replayed state and schedules its unfinished jobs (their
+  re-run resolves through the store). The one divergence: a job that
+  shutdown cancels is not journaled as terminal, so the next boot
+  re-queues it. Plan leases, arbitrated by journal log order, keep
+  replicas on one store directory from double-running a plan.
 
 The queue is bounded (:class:`JobQueueFull` maps to HTTP 503) and
 :class:`RateLimiter` implements the per-client token bucket behind
@@ -66,12 +63,13 @@ HTTP 429 + ``Retry-After``.
 from __future__ import annotations
 
 import asyncio
+import copy
 import itertools
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..api.executor import run_plan_parallel
@@ -79,7 +77,15 @@ from ..api.hashing import plan_hash, scenario_hash
 from ..api.plan import RunPlan
 from ..errors import ConfigurationError, ReproError
 from ..io import from_record, to_record
-from .journal import JobJournal
+from .journal import (
+    TERMINAL_STATUSES,
+    Job,
+    JobJournal,
+    JournalEntry,
+    JournalState,
+    apply,
+    payload,
+)
 from .store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -90,11 +96,8 @@ class JobQueueFull(ReproError):
     """Raised when a submission would exceed the bounded job queue."""
 
 
-#: Lifecycle states a job moves through (strictly forward).
-JOB_STATUSES = ("queued", "running", "done", "failed", "cancelled", "timeout")
-
-#: States a job cannot leave (eviction only collects these).
-TERMINAL_STATUSES = ("done", "failed", "cancelled", "timeout")
+#: Lifecycle states a job moves through (forward within one process life).
+JOB_STATUSES = ("queued", "running", *TERMINAL_STATUSES)
 
 #: Pseudo-status of a job record evicted from the table (lookup only).
 EXPIRED_STATUS = "expired"
@@ -212,73 +215,6 @@ def expired_job_record(job_id: str) -> JobRecord:
         elapsed_s=0.0,
         error=None,
     )
-
-
-class Job:
-    """Mutable runtime state of one submitted plan.
-
-    Owned by the :class:`JobManager`; external consumers read the
-    frozen :meth:`record` snapshot.
-    """
-
-    def __init__(
-        self,
-        job_id: str,
-        plan: "RunPlan | None",
-        plan_digest: str,
-        priority: int = DEFAULT_PRIORITY,
-        timeout_s: "float | None" = None,
-        plan_name: str = "",
-    ) -> None:
-        """Create a queued job for one submitted plan.
-
-        ``plan`` may be ``None`` only for journal-restored records
-        whose plan payload could not be rebuilt -- such a job is never
-        scheduled, it just answers status lookups (``plan_name`` then
-        labels the record).
-        """
-        self.id = job_id
-        self.plan = plan
-        self.plan_name = plan.name if plan is not None else plan_name
-        self.plan_hash = plan_digest
-        self.priority = int(priority)
-        self.timeout_s = None if timeout_s is None else float(timeout_s)
-        self.timed_out = False
-        self.status = "queued"
-        self.scenario_hashes: "tuple[str, ...]" = ()
-        self.sources: "list[str]" = []
-        self.error: "str | None" = None
-        self.created_at = time.time()
-        self.finished_at: "float | None" = None
-        self.elapsed_s = 0.0
-        self._start = time.perf_counter()
-        self._watchdog: "asyncio.TimerHandle | None" = None
-
-    def finish(self, status: str, error: "str | None" = None) -> None:
-        """Move the job to a terminal state and stamp its elapsed time."""
-        self.status = status
-        self.error = error
-        self.finished_at = time.time()
-        self.elapsed_s = time.perf_counter() - self._start
-
-    def record(self) -> JobRecord:
-        """A frozen :class:`JobRecord` snapshot of the current state."""
-        sources = tuple(self.sources)
-        return JobRecord(
-            id=self.id,
-            status=self.status,
-            plan_name=self.plan_name,
-            plan_hash=self.plan_hash,
-            scenario_hashes=self.scenario_hashes,
-            sources=sources,
-            store_hits=sources.count("store"),
-            computed=sources.count("computed"),
-            deduped=sources.count("inflight"),
-            elapsed_s=self.elapsed_s,
-            error=self.error,
-            priority=self.priority,
-            timeout_s=self.timeout_s,
-        )
 
 
 class TokenBucket:
@@ -539,11 +475,10 @@ class JobManager:
     (``_inflight``, job table, counters) is touched only from the
     event loop thread; the blocking simulation work runs on
     ``_compute_pool`` threads via :func:`compute_scenario_results`.
+    Job lifecycle state lives in ``state``, a private
+    :class:`~repro.service.journal.JournalState` that changes only
+    through :meth:`_commit`.
     """
-
-    #: Retained terminal ids after eviction still answer ``expired``;
-    #: the memory of *evicted* ids is itself bounded by this cap.
-    EXPIRED_IDS_CAP = 4096
 
     def __init__(
         self,
@@ -619,10 +554,7 @@ class JobManager:
         self.max_pending = int(max_pending)
         self.job_ttl_s = None if job_ttl_s is None else float(job_ttl_s)
         self.max_records = None if max_records is None else int(max_records)
-        self._jobs: "dict[str, Job]" = {}
-        self._active: "set[str]" = set()
-        self._expired: "dict[str, str]" = {}
-        self._ids = itertools.count(1)
+        self.state = JournalState()
         self._inflight: "dict[str, asyncio.Future]" = {}
         self._gate = PriorityGate(int(max_concurrent), aging_s=aging_s)
         self._compute_pool = ThreadPoolExecutor(
@@ -630,7 +562,6 @@ class JobManager:
             thread_name_prefix="repro-service-compute",
         )
         self._tasks: "set[asyncio.Task]" = set()
-        self._job_tasks: "dict[str, asyncio.Task]" = {}
         self.counters = {
             "jobs_submitted": 0,
             "jobs_done": 0,
@@ -646,11 +577,61 @@ class JobManager:
             "deduped": 0,
         }
 
+    # ----- the one way lifecycle state changes ----------------------------
+
+    def _commit(
+        self,
+        kind: str,
+        job_id: str = "",
+        data: "Mapping[str, Any] | None" = None,
+        *,
+        sync: bool = False,
+        journaled: bool = True,
+    ) -> None:
+        """Journal one entry, then apply it to the manager's state.
+
+        With a journal attached the entry is on disk (fsynced when
+        ``sync``) before :func:`~repro.service.journal.apply` changes
+        anything, so the write-ahead rule holds by construction
+        (``journaled=False`` is only for :meth:`_finish`'s divergence).
+        Also keeps the lifecycle counters.
+        """
+        if self.journal is not None and journaled:
+            entry = self.journal.append(
+                kind, job_id=job_id, data=data, sync=sync
+            )
+        else:
+            entry = JournalEntry(kind, time.time(), job_id, dict(data or {}))
+        apply(self.state, entry)
+        if kind == "accepted":
+            self.counters["jobs_submitted"] += 1
+        elif kind == "terminal":
+            self.counters[f"jobs_{entry.data['status']}"] += 1
+        elif kind == "evicted":
+            self.counters["jobs_evicted"] += 1
+
+    def _finish(
+        self, job: Job, status: str, error: "str | None" = None
+    ) -> None:
+        """Commit a job's terminal transition, stamping its elapsed time."""
+        data = payload(
+            "terminal",
+            status,
+            error,
+            time.perf_counter() - job.started,
+            job.scenario_hashes,
+            job.progress,
+        )
+        # The one divergence from the journal: a job that shutdown
+        # cancelled stays pending there, so the next boot re-queues it.
+        drained = self._draining and status == "cancelled"
+        self._commit("terminal", job.id, data, journaled=not drained)
+
     # ----- submission and lookup -----------------------------------------
 
     def pending(self) -> int:
-        """Jobs currently queued or running (O(1), not O(all-time))."""
-        return len(self._active)
+        """Jobs currently queued or running (O(active), not O(all-time))."""
+        return sum(1 for task in self._tasks if not task.done())
 
     def submit(
         self,
@@ -680,49 +661,39 @@ class JobManager:
             raise JobQueueFull(
                 f"job queue full ({self.max_pending} pending); retry later"
             )
-        job = Job(
-            f"job-{next(self._ids)}",
-            plan,
-            plan_hash(plan, defaults=self.defaults),
-            priority=rank,
-            timeout_s=timeout_s,
-        )
-        if self.journal is not None:
-            # Write-ahead, fsynced: the acceptance survives any crash
-            # that happens after the 202 reaches the client.
-            self.journal.append(
+        # Write-ahead, fsynced: the acceptance survives any crash that
+        # happens after the 202 reaches the client.
+        job_id = f"job-{self.state.max_job_seq + 1}"
+        self._commit(
+            "accepted",
+            job_id,
+            payload(
                 "accepted",
-                job_id=job.id,
-                data={
-                    "plan": to_record(plan),
-                    "plan_hash": job.plan_hash,
-                    "priority": job.priority,
-                    "timeout_s": job.timeout_s,
-                },
-                sync=True,
-            )
-        self._jobs[job.id] = job
-        self._active.add(job.id)
-        self.counters["jobs_submitted"] += 1
+                to_record(plan),
+                plan_hash(plan, defaults=self.defaults),
+                rank,
+                None if timeout_s is None else float(timeout_s),
+            ),
+            sync=True,
+        )
+        job = self.state.jobs[job_id]
+        job.plan = plan
         self._schedule(job)
         return job
 
     def _schedule(self, job: Job) -> None:
         """Create the job's task and watchdog (submit + recovery path)."""
         loop = asyncio.get_running_loop()
-        task = loop.create_task(self._run_job(job))
-        self._tasks.add(task)
-        self._job_tasks[job.id] = task
-        task.add_done_callback(self._tasks.discard)
-        task.add_done_callback(
-            lambda _t, job_id=job.id: self._job_tasks.pop(job_id, None)
-        )
+        job.started = time.perf_counter()
+        job.task = loop.create_task(self._run_job(job))
+        self._tasks.add(job.task)
+        job.task.add_done_callback(self._tasks.discard)
         if job.timeout_s is not None:
-            job._watchdog = loop.call_later(
-                job.timeout_s, self._expire_job, job.id
+            job.watchdog = loop.call_later(
+                job.timeout_s, self._expire_job, job
             )
 
-    def _expire_job(self, job_id: str) -> None:
+    def _expire_job(self, job: Job) -> None:
         """Watchdog callback: deadline a still-unfinished job.
 
         Marks the job timed out and cancels its task; the
@@ -730,17 +701,14 @@ class JobManager:
         ``timeout`` terminal state. A job already terminal (or evicted)
         is left alone -- the watchdog lost the race.
         """
-        job = self._jobs.get(job_id)
-        if job is None or job.status in TERMINAL_STATUSES:
+        if job.terminal:
             return
         job.timed_out = True
-        task = self._job_tasks.get(job_id)
-        if task is not None:
-            task.cancel()
+        job.task.cancel()
 
     def job(self, job_id: str) -> "Job | None":
         """Look a job up by id (``None`` when unknown or evicted)."""
-        return self._jobs.get(job_id)
+        return self.state.jobs.get(job_id)
 
     def record_of(self, job_id: str) -> "JobRecord | None":
         """The job's record; typed ``expired`` after eviction.
@@ -749,10 +717,10 @@ class JobManager:
         job answers with :func:`expired_job_record` so clients can tell
         "expired, resubmit if needed" from "no such job".
         """
-        job = self._jobs.get(job_id)
+        job = self.state.jobs.get(job_id)
         if job is not None:
             return job.record()
-        if job_id in self._expired:
+        if job_id in self.state.expired:
             return expired_job_record(job_id)
         return None
 
@@ -767,14 +735,13 @@ class JobManager:
         owned are cancelled so attached jobs re-resolve (store hit or
         recompute) instead of hanging.
         """
-        job = self._jobs.get(job_id)
+        job = self.state.jobs.get(job_id)
         if job is None:
             return self.record_of(job_id)
-        task = self._job_tasks.get(job_id)
-        if job.status in TERMINAL_STATUSES or task is None:
+        if job.terminal or job.task is None:
             return job.record()
-        task.cancel()
-        await asyncio.gather(task, return_exceptions=True)
+        job.task.cancel()
+        await asyncio.gather(job.task, return_exceptions=True)
         return job.record()
 
     def protected_hashes(self) -> "set[str]":
@@ -788,7 +755,7 @@ class JobManager:
         job record is what unpins its hashes.
         """
         pinned: "set[str]" = set(self._inflight)
-        for job in self._jobs.values():
+        for job in self.state.jobs.values():
             pinned.update(job.scenario_hashes)
         return pinned
 
@@ -797,39 +764,25 @@ class JobManager:
 
         Only terminal jobs are candidates (active jobs are never
         evicted, whatever the cap); oldest-finished go first. Evicted
-        ids keep answering :meth:`record_of` as ``expired`` through a
-        bounded memory of :data:`EXPIRED_IDS_CAP` ids.
+        ids keep answering :meth:`record_of` as ``expired`` through the
+        state's bounded ``expired`` memory.
         """
         if self.job_ttl_s is None and self.max_records is None:
             return 0
         now = time.time() if now is None else now
         finished = sorted(
-            (j for j in self._jobs.values() if j.status in TERMINAL_STATUSES),
+            (j for j in self.state.jobs.values() if j.terminal),
             key=lambda j: j.finished_at or 0.0,
         )
-        doomed: "list[Job]" = []
+        # Oldest-finished first, so both budgets cut a prefix.
+        cut = 0
         if self.job_ttl_s is not None:
-            doomed.extend(
-                j
-                for j in finished
-                if now - (j.finished_at or now) > self.job_ttl_s
-            )
+            cut = sum(now - j.finished_at > self.job_ttl_s for j in finished)
         if self.max_records is not None:
-            doomed_ids = {j.id for j in doomed}
-            excess = (len(self._jobs) - len(doomed_ids)) - self.max_records
-            if excess > 0:
-                survivors = [j for j in finished if j.id not in doomed_ids]
-                doomed.extend(survivors[:excess])
+            cut = max(cut, len(self.state.jobs) - self.max_records)
+        doomed = finished[:cut]
         for job in doomed:
-            del self._jobs[job.id]
-            self._expired[job.id] = job.status
-            self.counters["jobs_evicted"] += 1
-            if self.journal is not None:
-                self.journal.append(
-                    "evicted", job_id=job.id, data={"status": job.status}
-                )
-        while len(self._expired) > self.EXPIRED_IDS_CAP:
-            self._expired.pop(next(iter(self._expired)))
+            self._commit("evicted", job.id, payload("evicted", job.status))
         return len(doomed)
 
     def stats(self) -> "dict[str, Any]":
@@ -845,7 +798,7 @@ class JobManager:
         lifecycle counters.
         """
         by_status = {status: 0 for status in JOB_STATUSES}
-        for job in self._jobs.values():
+        for job in self.state.jobs.values():
             by_status[job.status] = by_status.get(job.status, 0) + 1
         return {
             **self.counters,
@@ -865,86 +818,50 @@ class JobManager:
     # ----- durability: recovery, drain, shutdown --------------------------
 
     async def recover(self) -> "dict[str, Any]":
-        """Replay the journal: restore terminal records, re-queue the rest.
+        """Adopt the replayed journal state, then schedule its open jobs.
 
         Call once at service start, before accepting submissions. The
         report distinguishes a ``fresh`` journal (no prior entries)
         from a ``clean`` restart (last entry was the drain path's
-        shutdown marker) and a ``crash``. Re-queued jobs run through
-        the normal resolve cycle, so every scenario already persisted
-        to the store -- including PR 9's partial salvage -- is a store
-        hit and only genuinely lost work is recomputed. Job ids
-        continue from the highest journaled sequence number, and a
-        re-queued job's deadline restarts at recovery (the original
-        submission clock died with the old process).
+        shutdown marker) and a ``crash``. Terminal jobs answer as full
+        records, evicted ids as ``expired``, and job ids continue from
+        the highest journaled sequence. Unfinished jobs re-run through
+        the store, so only work lost with the old process is
+        recomputed; their deadlines restart at recovery.
         """
+        replayed = self.journal.refresh() if self.journal else JournalState()
+        mode = "clean" if replayed.clean_shutdown else "crash"
         report: "dict[str, Any]" = {
-            "mode": "fresh",
+            "mode": mode if replayed.entries else "fresh",
             "restored": 0,
             "requeued": 0,
-            "expired": 0,
-            "corrupt_lines": 0,
+            "expired": len(replayed.expired),
+            "corrupt_lines": replayed.corrupt_lines,
         }
+        self.last_recovery = report
         if self.journal is None:
-            self.last_recovery = report
             return report
-        state = self.journal.refresh()
-        if state.entries:
-            report["mode"] = "clean" if state.clean_shutdown else "crash"
-        report["corrupt_lines"] = state.corrupt_lines
-        # Any entry after the shutdown marker clears the clean flag;
-        # the boot marker is that entry, making clean-vs-crash a
-        # per-session distinction by construction.
-        self.journal.append("boot", data={"owner_id": self.owner_id})
-        if state.max_job_seq:
-            self._ids = itertools.count(state.max_job_seq + 1)
-        self._expired.update(state.expired)
-        report["expired"] = len(state.expired)
-        requeue: "list[Job]" = []
-        for jstate in state.jobs.values():
-            try:
-                plan: "RunPlan | None" = from_record(RunPlan, jstate.plan_record)
-            except Exception:
-                plan = None
-            job = Job(
-                jstate.job_id,
-                plan,
-                jstate.plan_hash,
-                priority=jstate.priority,
-                timeout_s=jstate.timeout_s,
-                plan_name=str(jstate.plan_record.get("name", "")),
-            )
-            job.created_at = jstate.created_at
-            if jstate.terminal:
-                job.status = jstate.status
-                job.error = jstate.error
-                job.finished_at = jstate.finished_at or jstate.created_at
-                job.scenario_hashes = jstate.scenario_hashes
-                job.sources = list(jstate.sources)
-                job.elapsed_s = jstate.elapsed_s
-                self._jobs[job.id] = job
+        # Leases stay in the journal's shared view, the only one lease
+        # arbitration reads.
+        self.state = copy.deepcopy(replace(replayed, leases={}))
+        self._commit("boot", data=payload("boot", self.owner_id))
+        for job in tuple(self.state.jobs.values()):
+            if job.terminal:
                 self.counters["jobs_restored"] += 1
                 report["restored"] += 1
-            elif plan is None:
-                # Accepted but its plan payload is unrecoverable:
-                # fail it honestly rather than dropping it to a 404.
-                job.finish(
-                    "failed",
-                    "plan record unrecoverable after restart",
-                )
-                self._jobs[job.id] = job
-                self.counters["jobs_failed"] += 1
-                self._journal_terminal(job)
+                continue
+            try:
+                job.plan = from_record(RunPlan, job.plan_record)
+            except Exception:
+                # Accepted but its plan payload is unrecoverable: fail
+                # it honestly rather than dropping it to a 404.
+                lost = "plan record unrecoverable after restart"
+                self._finish(job, "failed", lost)
                 report["restored"] += 1
-            else:
-                requeue.append(job)
-        for job in requeue:
-            self._jobs[job.id] = job
-            self._active.add(job.id)
+                continue
             self.counters["jobs_recovered"] += 1
             self._schedule(job)
             report["requeued"] += 1
-        self.last_recovery = report
         return report
 
     async def drain(self, timeout_s: "float | None" = None) -> bool:
@@ -983,59 +900,50 @@ class JobManager:
     async def _run_job(self, job: Job) -> None:
         """Resolve every scenario of one job (store / inflight / compute).
 
-        Lifecycle accounting happens here and only here: exactly one of
-        ``jobs_done`` / ``jobs_failed`` / ``jobs_cancelled`` /
-        ``jobs_timeout`` is incremented per job, so ``/stats`` counters
-        always reconcile with ``jobs_by_status``. A cancellation
-        arriving from the deadline watchdog (``job.timed_out``) lands
-        in ``timeout`` rather than ``cancelled``. With a journal
-        attached, the plan lease is held across the resolve (heartbeat
-        renewals keep it alive past its TTL) and the terminal
-        transition is journaled -- unless the service is draining and
-        the job was cancelled by shutdown, in which case the journal
-        keeps it non-terminal so the next boot re-queues it.
+        Each job ends in exactly one terminal commit (:meth:`_finish`),
+        so ``/stats`` counters always reconcile with
+        ``jobs_by_status``. A cancellation arriving from the deadline
+        watchdog (``job.timed_out``) lands in ``timeout`` rather than
+        ``cancelled``. With a journal attached, the plan lease is held
+        across the resolve (heartbeat renewals keep it alive past its
+        TTL) and released before the terminal entry is written.
         """
         acquired = False
         leased = False
         heartbeat: "asyncio.Task | None" = None
+        outcome: "tuple[str, str | None] | None" = None
         try:
             await self._gate.acquire(job.priority)
             acquired = True
-            job.status = "running"
+            self._commit("running", job.id)
             if self.journal is not None:
-                self.journal.append("running", job_id=job.id)
                 leased = await self._acquire_plan_lease(job)
                 if leased:
                     heartbeat = asyncio.get_running_loop().create_task(
                         self._lease_heartbeat(job)
                     )
             await self._resolve(job)
+            outcome = ("done", None)
         except asyncio.CancelledError:
-            if job.timed_out:
-                job.finish(
-                    "timeout",
-                    f"job exceeded its {job.timeout_s}s deadline",
-                )
-                self.counters["jobs_timeout"] += 1
-            else:
-                job.finish("cancelled")
-                self.counters["jobs_cancelled"] += 1
+            outcome = (
+                ("timeout", f"job exceeded its {job.timeout_s}s deadline")
+                if job.timed_out
+                else ("cancelled", None)
+            )
             raise
         except Exception as exc:
-            job.finish("failed", str(exc))
-            self.counters["jobs_failed"] += 1
-        else:
-            job.finish("done")
-            self.counters["jobs_done"] += 1
+            outcome = ("failed", str(exc))
         finally:
             if heartbeat is not None:
                 heartbeat.cancel()
             if leased and self.journal is not None:
                 self.journal.release_lease(job.plan_hash, self.owner_id)
-            self._journal_terminal(job)
-            if job._watchdog is not None:
-                job._watchdog.cancel()
-            self._active.discard(job.id)
+            if outcome is not None:
+                self._finish(job, *outcome)
+                # A finished job answers from its durable fields alone.
+                job.plan, job.progress = None, []
+            if job.watchdog is not None:
+                job.watchdog.cancel()
             if acquired:
                 self._gate.release()
 
@@ -1072,30 +980,6 @@ class JobManager:
                 job.plan_hash, self.owner_id, self.lease_ttl_s
             )
 
-    def _journal_terminal(self, job: Job) -> None:
-        """Journal a terminal transition (drain-cancels stay pending)."""
-        if self.journal is None or job.status not in TERMINAL_STATUSES:
-            return
-        if (
-            self._draining
-            and job.status == "cancelled"
-            and not job.timed_out
-        ):
-            # Shutdown cancelled this job, not a client: leave it
-            # non-terminal in the journal so the next boot re-queues it.
-            return
-        self.journal.append(
-            "terminal",
-            job_id=job.id,
-            data={
-                "status": job.status,
-                "error": job.error,
-                "elapsed_s": job.elapsed_s,
-                "scenario_hashes": list(job.scenario_hashes),
-                "sources": list(job.sources),
-            },
-        )
-
     async def _resolve(self, job: Job) -> None:
         """Resolve all positions, re-classifying ones handed off to us.
 
@@ -1113,7 +997,7 @@ class JobManager:
             scenario_hash(s, defaults=self.defaults) for s in expanded
         )
         job.scenario_hashes = hashes
-        job.sources = ["pending"] * len(expanded)
+        job.progress = ["pending"] * len(expanded)
 
         loop = asyncio.get_running_loop()
         unresolved = list(range(len(expanded)))
@@ -1130,7 +1014,7 @@ class JobManager:
                 elif hash_ in self._inflight:
                     attached[position] = self._inflight[hash_]
                 elif hash_ in self.store:
-                    job.sources[position] = "store"
+                    job.progress[position] = "store"
                     self.counters["store_hits"] += 1
                 else:
                     self._inflight[hash_] = loop.create_future()
@@ -1140,6 +1024,7 @@ class JobManager:
             try:
                 if owned:
                     scenarios = tuple(expanded[i] for i in owned)
+                    failure: "PartialComputeError | None" = None
                     try:
                         results = await loop.run_in_executor(
                             self._compute_pool,
@@ -1154,32 +1039,25 @@ class JobManager:
                                 max_shard_retries=self.max_shard_retries,
                             ),
                         )
+                        completed = dict(enumerate(results))
                     except PartialComputeError as partial:
                         # Salvage before failing: persist what did
                         # complete and resolve its claims, so attached
                         # jobs -- and a resubmission of this very plan
                         # -- resume from store hits instead of
                         # recomputing the survivors.
-                        for sub_index in sorted(partial.completed):
-                            position = owned[sub_index]
-                            hash_ = hashes[position]
-                            self.store.put(
-                                hash_, partial.completed[sub_index]
-                            )
-                            job.sources[position] = "computed"
-                            self.counters["computed"] += 1
-                            future = self._inflight.pop(hash_, None)
-                            if future is not None and not future.done():
-                                future.set_result(hash_)
-                        raise
-                    for position, scenario_result in zip(owned, results):
+                        completed, failure = partial.completed, partial
+                    for sub_index in sorted(completed):
+                        position = owned[sub_index]
                         hash_ = hashes[position]
-                        self.store.put(hash_, scenario_result)
-                        job.sources[position] = "computed"
+                        self.store.put(hash_, completed[sub_index])
+                        job.progress[position] = "computed"
                         self.counters["computed"] += 1
                         future = self._inflight.pop(hash_, None)
                         if future is not None and not future.done():
                             future.set_result(hash_)
+                    if failure is not None:
+                        raise failure
             except Exception as exc:
                 # Wake every attached job with the failure before this
                 # one propagates it; a claimed-but-unresolved hash must
@@ -1220,7 +1098,7 @@ class JobManager:
                     elif isinstance(outcome, BaseException):
                         raise outcome
                     else:
-                        job.sources[position] = "inflight"
+                        job.progress[position] = "inflight"
                         self.counters["deduped"] += 1
             unresolved = retry
 

@@ -1,40 +1,41 @@
-"""Write-ahead job journal: durable service state over one JSONL file.
+"""Write-ahead job journal and the one reducer over service job state.
 
-The simulation service keeps its job table, queue entries and
-single-flight claims in memory; without a journal, a crash or deploy
-restart silently forgets every accepted job and clients polling
-``GET /jobs/{id}`` get a 404 for work they were promised. The
-:class:`JobJournal` closes that hole: every job lifecycle transition is
-appended to an append-only JSONL file *before* the service acts on it
-(write-ahead), so a restarted service replays the journal and
+The simulation service promises clients work it has not done yet; a
+crash or restart must not turn an accepted job into a 404. Everything
+durable about jobs lives here, with the single rule by which it moves:
 
-* answers ``GET /jobs/{id}`` for every previously accepted job
-  (terminal jobs come back as full records, evicted ids as ``expired``);
-* re-queues jobs that were accepted but not terminal -- the re-run
-  resolves through the :class:`~repro.service.store.ResultStore`, so
-  only scenarios missing from the store are recomputed (the PR 9
-  salvage path persisted everything that did complete);
-* distinguishes a clean shutdown (the last entry is a ``shutdown``
-  marker written by the drain path) from a crash.
+* :class:`Job` -- one job: the durable fields the journal records, and
+  runtime handles (the rebuilt plan, per-scenario progress, its task,
+  the deadline watchdog, ``timed_out``) that are never journaled.
+* :class:`JournalState` -- the job table, the bounded ``expired``
+  memory of evicted ids, plan leases and the boot/shutdown marker.
+* :func:`apply` -- the reducer, and the only code that changes
+  lifecycle state (status, error, finish and elapsed time, eviction,
+  the expired memory, leases, the markers).
 
-Durability model: the ``accepted`` entry -- the promise to the client
--- is fsynced before ``POST /plans`` returns 202; later transitions
-are flushed but not fsynced (they survive a process kill, and losing
-one to a power cut merely re-queues a job that already has store
-entries). The file is compacted in place every ``compact_every``
-appends: live jobs, the bounded evicted-id memory, and unexpired
-leases are rewritten as a minimal prefix (temp file + ``os.replace``,
-atomic on POSIX).
+Two state instances share that one reducer. :class:`JobJournal` folds
+its file through :func:`apply` on replay and :meth:`~JobJournal.refresh`.
+Its state is a *shared* view: replicas over one store directory share
+the journal file, so it folds their jobs and lease claims too, and
+lease arbitration reads it. The :class:`~repro.service.jobs.JobManager`
+keeps a *private* state holding only its own jobs (recovery adopts a
+copy of the replayed one) and changes it only through ``_commit``:
+append the entry, then apply that same entry. The write-ahead rule
+holds by construction, and both views agree on the manager's jobs.
+The one deliberate divergence: a job that *shutdown* cancels is
+applied as ``cancelled`` but not journaled as terminal, so the next
+boot re-queues it.
 
-Leases make one store directory safe to share between replicas: a
-replica must hold the :class:`LeaseRecord` for a plan hash before
-computing it, and renews it on a TTL heartbeat while the compute runs.
-Claims are appended to the same journal, so the log order arbitrates
-races -- the first claim appended while no live lease exists wins --
-and an expired lease (crashed owner) lets a surviving replica adopt
-the orphaned work. :meth:`JobJournal.refresh` tail-reads entries other
-processes appended since our last read, which is what makes the fold
-a shared view rather than a private one.
+Durability: the ``accepted`` entry -- the promise to the client -- is
+fsynced before ``POST /plans`` returns 202; later transitions are
+flushed but not fsynced (losing one to a power cut merely re-queues a
+job whose finished scenarios are in the store). Every
+``compact_every`` appends the file is rewritten (temp file +
+``os.replace``) as a minimal prefix, each entry by the payload encoder
+its live write uses. A replica must hold the :class:`LeaseRecord` for
+a plan hash before computing it and renews it on a TTL heartbeat; log
+order arbitrates racing claims, and an expired lease (crashed owner)
+is adopted by whoever claims it next.
 """
 
 from __future__ import annotations
@@ -44,29 +45,38 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..errors import ConfigurationError
 
-#: Entry kinds the journal understands (anything else is preserved
-#: verbatim through compaction but ignored by the fold).
-JOURNAL_KINDS = (
-    "accepted",
-    "running",
-    "terminal",
-    "evicted",
-    "lease-claim",
-    "lease-renew",
-    "lease-release",
-    "boot",
-    "shutdown",
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    import asyncio
 
-#: Job statuses the fold treats as final (mirrors ``jobs.TERMINAL_STATUSES``
-#: without importing it -- the journal layer stands below the manager).
-_TERMINAL = ("done", "failed", "cancelled", "timeout")
+    from ..api.plan import RunPlan
+    from .jobs import JobRecord
+
+#: Every entry kind the journal understands, with the fields of its
+#: ``data`` payload in :func:`payload` argument order. Lines of any
+#: other kind are counted but change nothing, and compaction drops them.
+PAYLOADS = {
+    "accepted": ("plan", "plan_hash", "priority", "timeout_s"),
+    "running": (),
+    "terminal": ("status", "error", "elapsed_s", "scenario_hashes", "sources"),
+    "evicted": ("status",),
+    "lease-claim": ("plan_hash", "owner_id", "expires_at"),
+    "lease-renew": ("plan_hash", "owner_id", "expires_at"),
+    "lease-release": ("plan_hash", "owner_id"),
+    "boot": ("owner_id",),
+    "shutdown": (),
+}
+
+#: The entry kinds, in lifecycle order.
+JOURNAL_KINDS = tuple(PAYLOADS)
+
+#: Job statuses a job cannot leave (eviction only collects these).
+TERMINAL_STATUSES = ("done", "failed", "cancelled", "timeout")
 
 _JOB_SEQ = re.compile(r"^job-(\d+)$")
 
@@ -121,11 +131,26 @@ class LeaseRecord:
         return (time.time() if now is None else now) >= self.expires_at
 
 
-@dataclass
-class JournalJobState:
-    """The folded state of one journaled job."""
+def _runtime(**kwargs: Any) -> Any:
+    """A :class:`Job` field that is never journaled, compared or applied."""
+    return field(compare=False, repr=False, **kwargs)
 
-    job_id: str
+
+@dataclass
+class Job:
+    """One submitted plan: durable lifecycle state plus runtime handles.
+
+    Only :func:`apply` changes the lifecycle fields (``status``,
+    ``error``, ``finished_at``, ``elapsed_s``, ``sources``);
+    ``scenario_hashes`` is filled in once the plan expands. The
+    runtime fields stay out of equality and the journal: ``plan``
+    (``None`` until rebuilt, and for good if its record cannot be),
+    ``progress`` (per-scenario provenance while resolving), the
+    ``started`` clock, the ``task`` running the job, ``timed_out`` and
+    the deadline ``watchdog``.
+    """
+
+    id: str
     plan_record: "dict[str, Any]"
     plan_hash: str
     priority: int
@@ -137,24 +162,154 @@ class JournalJobState:
     elapsed_s: float = 0.0
     scenario_hashes: "tuple[str, ...]" = ()
     sources: "tuple[str, ...]" = ()
+    plan: "RunPlan | None" = _runtime(default=None)
+    progress: "list[str]" = _runtime(default_factory=list)
+    started: float = _runtime(default_factory=time.perf_counter)
+    task: "asyncio.Task | None" = _runtime(default=None)
+    timed_out: bool = _runtime(default=False)
+    watchdog: "asyncio.TimerHandle | None" = _runtime(default=None)
 
     @property
     def terminal(self) -> bool:
-        """Whether the job reached a final status before the fold ended."""
-        return self.status in _TERMINAL
+        """Whether the job has reached a final status."""
+        return self.status in TERMINAL_STATUSES
+
+    def record(self) -> "JobRecord":
+        """A frozen :class:`~repro.service.jobs.JobRecord` snapshot."""
+        from .jobs import JobRecord
+
+        sources = self.sources if self.terminal else tuple(self.progress)
+        return JobRecord(
+            id=self.id,
+            status=self.status,
+            plan_name=str(self.plan_record.get("name", "")),
+            plan_hash=self.plan_hash,
+            scenario_hashes=self.scenario_hashes,
+            sources=sources,
+            store_hits=sources.count("store"),
+            computed=sources.count("computed"),
+            deduped=sources.count("inflight"),
+            elapsed_s=self.elapsed_s,
+            error=self.error,
+            priority=self.priority,
+            timeout_s=self.timeout_s,
+        )
 
 
 @dataclass
 class JournalState:
-    """Everything a replayed journal knows, folded in log order."""
+    """Everything the journal entries applied so far imply, in log order.
 
-    jobs: "dict[str, JournalJobState]" = field(default_factory=dict)
+    ``expired`` remembers the final status of evicted ids, bounded by
+    ``expired_cap`` (oldest evictions are forgotten first).
+    """
+
+    jobs: "dict[str, Job]" = field(default_factory=dict)
     leases: "dict[str, LeaseRecord]" = field(default_factory=dict)
     expired: "dict[str, str]" = field(default_factory=dict)
     clean_shutdown: bool = False
     corrupt_lines: int = 0
     entries: int = 0
     max_job_seq: int = 0
+    expired_cap: int = 4096
+
+
+def payload(kind: str, *values: Any) -> "dict[str, Any]":
+    """The one encoder of an entry's ``data``: its :data:`PAYLOADS` fields.
+
+    Live writes and compaction both build payloads here, so an entry
+    kind cannot drift between the two. Sequences encode as JSON arrays.
+    """
+    return dict(zip(PAYLOADS[kind], values, strict=True))
+
+
+def apply(state: JournalState, entry: JournalEntry) -> JournalState:
+    """Fold one entry into ``state`` (in place) and return it.
+
+    The only code that changes lifecycle state. It does no I/O and
+    reads no clock -- every timestamp comes from ``entry.at`` -- so
+    replaying a file and applying the same entries live build equal
+    states. Payload fields are read defensively (a hand-edited or
+    foreign line degrades to defaults instead of aborting a boot), and
+    unknown kinds change nothing but the entry count and the marker.
+    """
+    state.entries += 1
+    kind, job_id, data = entry.kind, entry.job_id, entry.data
+    # Any entry after the shutdown marker clears the clean flag, which
+    # makes clean-vs-crash a per-session distinction by construction.
+    state.clean_shutdown = kind == "shutdown"
+    match = _JOB_SEQ.match(job_id)
+    if match:
+        state.max_job_seq = max(state.max_job_seq, int(match.group(1)))
+    job = state.jobs.get(job_id)
+    if kind == "accepted":
+        timeout_s = data.get("timeout_s")
+        state.jobs[job_id] = Job(
+            id=job_id,
+            plan_record=dict(data.get("plan", {})),
+            plan_hash=str(data.get("plan_hash", "")),
+            priority=int(data.get("priority", 1)),
+            timeout_s=None if timeout_s is None else float(timeout_s),
+            created_at=entry.at,
+        )
+        state.expired.pop(job_id, None)
+    elif kind == "running":
+        if job is not None and not job.terminal:
+            job.status = "running"
+    elif kind == "terminal":
+        if job is not None:
+            job.status = str(data.get("status", "failed"))
+            error = data.get("error")
+            job.error = None if error is None else str(error)
+            job.finished_at = entry.at
+            job.elapsed_s = float(data.get("elapsed_s", 0.0))
+            job.scenario_hashes = tuple(
+                str(h) for h in data.get("scenario_hashes", ())
+            )
+            job.sources = tuple(str(s) for s in data.get("sources", ()))
+    elif kind == "evicted":
+        state.jobs.pop(job_id, None)
+        state.expired[job_id] = str(data.get("status", "done"))
+        while len(state.expired) > state.expired_cap:
+            state.expired.pop(next(iter(state.expired)))
+    elif kind == "boot":
+        # A new process life: nothing it inherits is running any more;
+        # unfinished jobs wait to be re-queued.
+        for job in state.jobs.values():
+            if job.status == "running":
+                job.status = "queued"
+    elif kind.startswith("lease-"):
+        plan_hash = str(data.get("plan_hash", ""))
+        owner_id = str(data.get("owner_id", ""))
+        holder = state.leases.get(plan_hash)
+        if kind == "lease-claim":
+            if (
+                holder is None
+                or holder.owner_id == owner_id
+                or holder.expired(entry.at)
+            ):
+                state.leases[plan_hash] = LeaseRecord(
+                    plan_hash=plan_hash,
+                    owner_id=owner_id,
+                    job_id=job_id,
+                    acquired_at=entry.at,
+                    expires_at=float(data.get("expires_at", 0.0)),
+                )
+        elif holder is not None and holder.owner_id == owner_id:
+            if kind == "lease-renew":
+                state.leases[plan_hash] = replace(
+                    holder, expires_at=float(data.get("expires_at", 0.0))
+                )
+            elif kind == "lease-release":
+                del state.leases[plan_hash]
+    return state
+
+
+def _line(entry: JournalEntry) -> str:
+    """The one byte form of a journal entry: sorted-key JSON plus newline."""
+    from ..io import to_record
+
+    return json.dumps(to_record(entry), sort_keys=True) + "\n"
 
 
 class JobJournal:
@@ -187,9 +342,7 @@ class JobJournal:
         self.expired_cap = int(expired_cap)
         self.compactions = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._offset = 0
         self._since_compact = 0
-        self.state = JournalState()
         self.replay()
 
     # ----- reading --------------------------------------------------------
@@ -202,7 +355,7 @@ class JobJournal:
         ``state.corrupt_lines`` and skipped rather than aborting the
         boot -- a damaged journal recovers what it can.
         """
-        self.state = JournalState()
+        self.state = JournalState(expired_cap=self.expired_cap)
         self._offset = 0
         return self.refresh()
 
@@ -218,8 +371,7 @@ class JobJournal:
         size = self.path.stat().st_size
         if size < self._offset:
             # Another process compacted (os.replace) under us.
-            self.state = JournalState()
-            self._offset = 0
+            return self.replay()
         if size == self._offset:
             return self.state
         with open(self.path, "rb") as handle:
@@ -231,8 +383,7 @@ class JobJournal:
         # refresh never misparses it.
         lines = chunk.split(b"\n")
         tail = lines.pop()
-        consumed = len(chunk) - len(tail)
-        self._offset += consumed
+        self._offset += len(chunk) - len(tail)
         for raw in lines:
             if not raw.strip():
                 continue
@@ -240,93 +391,18 @@ class JobJournal:
                 record = json.loads(raw.decode("utf-8"))
                 if not isinstance(record, dict):
                     raise ValueError("journal line is not an object")
-            except (ValueError, UnicodeDecodeError):
+                data = record.get("data")
+                entry = JournalEntry(
+                    str(record.get("kind", "")),
+                    float(record.get("at", 0.0)),
+                    str(record.get("job_id", "")),
+                    data if isinstance(data, Mapping) else {},
+                )
+            except (ValueError, TypeError, UnicodeDecodeError):
                 self.state.corrupt_lines += 1
                 continue
-            self._fold(record)
+            apply(self.state, entry)
         return self.state
-
-    def _fold(self, record: "Mapping[str, Any]") -> None:
-        """Apply one parsed journal line to the running state."""
-        state = self.state
-        state.entries += 1
-        kind = record.get("kind")
-        job_id = str(record.get("job_id", ""))
-        at = float(record.get("at", 0.0))
-        data = record.get("data") or {}
-        if not isinstance(data, Mapping):
-            data = {}
-        state.clean_shutdown = kind == "shutdown"
-        match = _JOB_SEQ.match(job_id)
-        if match:
-            state.max_job_seq = max(state.max_job_seq, int(match.group(1)))
-        if kind == "accepted":
-            timeout_s = data.get("timeout_s")
-            state.jobs[job_id] = JournalJobState(
-                job_id=job_id,
-                plan_record=dict(data.get("plan", {})),
-                plan_hash=str(data.get("plan_hash", "")),
-                priority=int(data.get("priority", 1)),
-                timeout_s=None if timeout_s is None else float(timeout_s),
-                created_at=at,
-            )
-            state.expired.pop(job_id, None)
-        elif kind == "running":
-            job = state.jobs.get(job_id)
-            if job is not None and not job.terminal:
-                job.status = "running"
-        elif kind == "terminal":
-            job = state.jobs.get(job_id)
-            if job is not None:
-                job.status = str(data.get("status", "failed"))
-                error = data.get("error")
-                job.error = None if error is None else str(error)
-                job.finished_at = at
-                job.elapsed_s = float(data.get("elapsed_s", 0.0))
-                job.scenario_hashes = tuple(
-                    str(h) for h in data.get("scenario_hashes", ())
-                )
-                job.sources = tuple(
-                    str(s) for s in data.get("sources", ())
-                )
-        elif kind == "evicted":
-            state.jobs.pop(job_id, None)
-            state.expired[job_id] = str(data.get("status", "done"))
-            while len(state.expired) > self.expired_cap:
-                state.expired.pop(next(iter(state.expired)))
-        elif kind == "lease-claim":
-            lease = LeaseRecord(
-                plan_hash=str(data.get("plan_hash", "")),
-                owner_id=str(data.get("owner_id", "")),
-                job_id=job_id,
-                acquired_at=at,
-                expires_at=float(data.get("expires_at", 0.0)),
-            )
-            holder = state.leases.get(lease.plan_hash)
-            if (
-                holder is None
-                or holder.owner_id == lease.owner_id
-                or holder.expired(at)
-            ):
-                state.leases[lease.plan_hash] = lease
-        elif kind == "lease-renew":
-            holder = state.leases.get(str(data.get("plan_hash", "")))
-            if holder is not None and holder.owner_id == str(
-                data.get("owner_id", "")
-            ):
-                state.leases[holder.plan_hash] = LeaseRecord(
-                    plan_hash=holder.plan_hash,
-                    owner_id=holder.owner_id,
-                    job_id=holder.job_id,
-                    acquired_at=holder.acquired_at,
-                    expires_at=float(data.get("expires_at", 0.0)),
-                )
-        elif kind == "lease-release":
-            holder = state.leases.get(str(data.get("plan_hash", "")))
-            if holder is not None and holder.owner_id == str(
-                data.get("owner_id", "")
-            ):
-                del state.leases[holder.plan_hash]
 
     # ----- writing --------------------------------------------------------
 
@@ -346,7 +422,8 @@ class JobJournal:
         promise to a client (``accepted``, lease claims). The append
         is followed by a :meth:`refresh`, so our own entry -- and any
         lines other writers slipped in before it -- fold into the live
-        state in true log order before we return.
+        state in true log order before we return. The returned entry
+        is what the caller applies to its own state.
         """
         entry = JournalEntry(
             kind=kind,
@@ -354,15 +431,11 @@ class JobJournal:
             job_id=job_id,
             data=dict(data or {}),
         )
-        from ..io import to_record
-
-        record = to_record(entry)
-        line = json.dumps(record, sort_keys=True) + "\n"
         fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
         try:
-            os.write(fd, line.encode("utf-8"))
+            os.write(fd, _line(entry).encode("utf-8"))
             if sync and self.fsync_on_accept:
                 os.fsync(fd)
         finally:
@@ -392,85 +465,68 @@ class JobJournal:
         """Rewrite the journal as a minimal equivalent prefix.
 
         Keeps: one ``accepted`` (plus ``running``/``terminal``) entry
-        per live job, the bounded ``evicted`` memory, and unexpired
-        leases. History -- superseded transitions, released leases,
-        old shutdown markers -- is dropped. Atomic via a temp file and
+        per live job, the bounded ``evicted`` memory, unexpired leases
+        and -- last, when the state is clean -- the shutdown marker, so
+        a compaction triggered by :meth:`mark_clean_shutdown` keeps the
+        next boot ``clean`` (a journal left with nothing else keeps a
+        ``boot`` marker, so it never replays as ``fresh``). History --
+        superseded transitions, released leases, old markers, unknown
+        kinds -- is dropped. Atomic via a temp file and
         :func:`os.replace`; returns the number of entries written.
         """
-        self.refresh()
-        state = self.state
-        from ..io import to_record
-
-        entries: "list[JournalEntry]" = []
-        for job in state.jobs.values():
-            entries.append(
-                JournalEntry(
-                    kind="accepted",
-                    at=job.created_at,
-                    job_id=job.job_id,
-                    data={
-                        "plan": job.plan_record,
-                        "plan_hash": job.plan_hash,
-                        "priority": job.priority,
-                        "timeout_s": job.timeout_s,
-                    },
-                )
-            )
-            if job.terminal:
-                entries.append(
-                    JournalEntry(
-                        kind="terminal",
-                        at=job.finished_at or job.created_at,
-                        job_id=job.job_id,
-                        data={
-                            "status": job.status,
-                            "error": job.error,
-                            "elapsed_s": job.elapsed_s,
-                            "scenario_hashes": list(job.scenario_hashes),
-                            "sources": list(job.sources),
-                        },
-                    )
-                )
-            elif job.status == "running":
-                entries.append(
-                    JournalEntry(
-                        kind="running", at=job.created_at, job_id=job.job_id
-                    )
-                )
-        for job_id, status in state.expired.items():
-            entries.append(
-                JournalEntry(
-                    kind="evicted",
-                    at=0.0,
-                    job_id=job_id,
-                    data={"status": status},
-                )
-            )
+        state = self.refresh()
         now = time.time()
+        entries: "list[JournalEntry]" = []
+
+        def add(kind: str, at: float, job_id: str = "", data=None) -> None:
+            entries.append(JournalEntry(kind, at, job_id, data or {}))
+
+        for job in state.jobs.values():
+            data = payload(
+                "accepted",
+                job.plan_record,
+                job.plan_hash,
+                job.priority,
+                job.timeout_s,
+            )
+            add("accepted", job.created_at, job.id, data)
+            if job.terminal:
+                data = payload(
+                    "terminal",
+                    job.status,
+                    job.error,
+                    job.elapsed_s,
+                    job.scenario_hashes,
+                    job.sources,
+                )
+                at = job.finished_at or job.created_at
+                add("terminal", at, job.id, data)
+            elif job.status == "running":
+                add("running", job.created_at, job.id)
+        for job_id, status in state.expired.items():
+            add("evicted", 0.0, job_id, payload("evicted", status))
         for lease in state.leases.values():
             if not lease.expired(now):
-                entries.append(
-                    JournalEntry(
-                        kind="lease-claim",
-                        at=lease.acquired_at,
-                        job_id=lease.job_id,
-                        data={
-                            "plan_hash": lease.plan_hash,
-                            "owner_id": lease.owner_id,
-                            "expires_at": lease.expires_at,
-                        },
-                    )
+                data = payload(
+                    "lease-claim",
+                    lease.plan_hash,
+                    lease.owner_id,
+                    lease.expires_at,
                 )
-        payload = "".join(
-            json.dumps(to_record(e), sort_keys=True) + "\n"
-            for e in entries
-        )
+                add("lease-claim", lease.acquired_at, lease.job_id, data)
+        if state.clean_shutdown:
+            add("shutdown", now)
+        elif not entries and state.entries:
+            # An empty file would replay as ``fresh``: keep one marker
+            # so the next boot still reports how this life ended.
+            add("boot", now)
+        text = "".join(_line(entry) for entry in entries)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent, prefix=".journal-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
+                handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, self.path)
@@ -480,13 +536,13 @@ class JobJournal:
             except OSError:
                 pass
             raise
-        self._offset = len(payload.encode("utf-8"))
+        self._offset = len(text.encode("utf-8"))
         self._since_compact = 0
         self.compactions += 1
         # Replayed corrupt lines are gone from the file now, and the
         # entry count is exactly what compaction wrote.
-        self.state.corrupt_lines = 0
-        self.state.entries = len(entries)
+        state.corrupt_lines = 0
+        state.entries = len(entries)
         return len(entries)
 
     # ----- leases ---------------------------------------------------------
@@ -522,15 +578,12 @@ class JobJournal:
         self.append(
             "lease-claim",
             job_id=job_id,
-            data={
-                "plan_hash": plan_hash,
-                "owner_id": owner_id,
-                "expires_at": now + float(ttl_s),
-            },
+            data=payload(
+                "lease-claim", plan_hash, owner_id, now + float(ttl_s)
+            ),
             sync=True,
             at=now,
         )
-        self.refresh()
         return self.state.leases[plan_hash]
 
     def renew_lease(
@@ -549,11 +602,9 @@ class JobJournal:
         self.append(
             "lease-renew",
             job_id=holder.job_id,
-            data={
-                "plan_hash": plan_hash,
-                "owner_id": owner_id,
-                "expires_at": now + float(ttl_s),
-            },
+            data=payload(
+                "lease-renew", plan_hash, owner_id, now + float(ttl_s)
+            ),
             at=now,
         )
         return self.state.leases.get(plan_hash)
@@ -567,7 +618,7 @@ class JobJournal:
         self.append(
             "lease-release",
             job_id=holder.job_id,
-            data={"plan_hash": plan_hash, "owner_id": owner_id},
+            data=payload("lease-release", plan_hash, owner_id),
         )
 
     def current_lease(self, plan_hash: str) -> "LeaseRecord | None":

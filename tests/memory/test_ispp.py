@@ -6,9 +6,15 @@ import pytest
 from repro.errors import ConfigurationError, MemoryOperationError
 from repro.memory import (
     IsppPolicy,
+    ispp_step_batch,
     program_page_batch,
     program_page_scalar_reference,
 )
+
+
+def _one_pulse(vt, select, policy, rng, ceiling):
+    """One public single-pulse step, shaped like a page program call."""
+    return ispp_step_batch(vt, select, policy.step_v, policy, rng, ceiling)
 
 
 @pytest.fixture()
@@ -108,7 +114,12 @@ class TestValidation:
             IsppPolicy(verify_level_v=1.0, max_pulses=0)
 
     @pytest.mark.parametrize(
-        "program", [program_page_batch, program_page_scalar_reference]
+        "program",
+        [
+            program_page_batch,
+            program_page_scalar_reference,
+            pytest.param(_one_pulse, id="ispp_step_batch"),
+        ],
     )
     def test_nan_ceiling_rejected(self, cell_kernel, policy, rng, program):
         """A NaN ceiling is an error in both paths, not a silent NaN Vt

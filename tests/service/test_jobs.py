@@ -816,7 +816,7 @@ class TestEviction:
                     manager.submit(_plan(n_points=n))
                 pending_now = manager.pending()
                 await asyncio.gather(*manager._tasks)
-                return pending_now, manager.pending(), len(manager._jobs)
+                return pending_now, manager.pending(), len(manager.state.jobs)
             finally:
                 await manager.close()
 

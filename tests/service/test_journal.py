@@ -203,6 +203,27 @@ class TestCompaction:
             )
         assert journal.compactions >= 2
 
+    def test_compaction_keeps_the_clean_shutdown_marker(self, tmp_path):
+        # The marker's own append is the one that triggers compaction.
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path, compact_every=3)
+        journal.append("boot", data={"owner_id": "o-1"})
+        _accept(journal, "job-1")
+        journal.mark_clean_shutdown()
+        assert journal.compactions == 1
+        assert journal.state.clean_shutdown
+        assert JobJournal(path).state.clean_shutdown
+
+    def test_compacting_an_idle_journal_keeps_a_previous_life(self, tmp_path):
+        # Nothing live to rewrite must not turn a crash into "fresh".
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path)
+        journal.append("boot", data={"owner_id": "o-1"})
+        journal.compact()
+        reborn = JobJournal(path).state
+        assert reborn.entries == 1
+        assert not reborn.clean_shutdown
+
     def test_released_leases_do_not_survive_compaction(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = JobJournal(path)

@@ -16,11 +16,13 @@ store entries become unreachable instead of misread) and re-pin.
 import asyncio
 import hashlib
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api import RunPlan, Scenario, ScenarioResult, scenario_hash
+from repro.api.hashing import RESULT_FORMAT_REVISION
 from repro.engine.cache import CacheStats
 from repro.experiments.base import ExperimentResult, ShapeCheck
 from repro.reporting.ascii_plot import PlotSeries
@@ -37,6 +39,8 @@ BUMP = (
 )
 
 HASH = "ab" * 32
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "snapshots"
 
 
 def _sha(data: bytes) -> str:
@@ -184,6 +188,19 @@ class TestPinnedBytes:
         assert status == 200
         assert _sha(body) == (
             "86ab7aa8584c3c7ca9922bd526088db3e8ec5f90ad3fc4955a99a54289feec9d"
+        ), BUMP
+
+    def test_golden_snapshots_pinned_to_revision(self):
+        """Regenerated goldens mean new physics: stored results computed
+        by the old physics must become unreachable, so the snapshot
+        bytes are pinned together with the format revision."""
+        digest = hashlib.sha256()
+        for path in sorted(GOLDEN.glob("*.json")):
+            digest.update(path.name.encode() + b"\n")
+            digest.update(path.read_bytes())
+        assert (RESULT_FORMAT_REVISION, digest.hexdigest()) == (
+            1,
+            "788591e09e2e289a1b76cb81403355b0e50efc8caa6a420ba69486c0b1941634",
         ), BUMP
 
     def test_faults_environment_value(self):
