@@ -13,7 +13,7 @@ run
 ``test_parallel_bit_identical_to_serial`` asserts the executor's core
 contract -- byte-equal experiment results and conserved lookup totals
 -- on every machine. ``test_parallel_speedup`` pins the >=1.5x speedup
-at 4 workers; it needs actual hardware parallelism, so it skips on
+at 4 workers, each side timed best-of-3 (``conftest.best_of``); it needs actual hardware parallelism, so it skips on
 single-CPU containers (the contract tests still run there) and is
 informative-only in CI's non-blocking benchmarks job.
 """
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import pytest
+from conftest import best_of, record_speedup
 
 from repro.api import RunPlan, Scenario, SimulationSession, run_plan_parallel
 from repro.io import experiment_result_to_dict
@@ -69,9 +69,7 @@ def test_parallel_bit_identical_to_serial():
     """4-worker process execution reproduces the serial run exactly."""
     plan = _plan()
     serial = SimulationSession(seed=SEED).run_plan(plan)
-    parallel = run_plan_parallel(
-        plan, workers=WORKERS, shard_by="round-robin", seed=SEED
-    )
+    parallel = run_plan_parallel(plan, workers=WORKERS, seed=SEED)
     assert len(parallel.scenario_results) == len(serial.scenario_results)
     for ours, theirs in zip(
         serial.scenario_results, parallel.scenario_results
@@ -105,18 +103,21 @@ def test_parallel_speedup():
     # JIT the import costs once so both paths time pure execution.
     SimulationSession(seed=SEED).run_scenario(plan.expanded()[0])
 
-    start = time.perf_counter()
-    serial = SimulationSession(seed=SEED).run_plan(plan)
-    t_serial = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = run_plan_parallel(
-        plan, workers=WORKERS, shard_by="by-cost", seed=SEED
+    t_serial = best_of(lambda: SimulationSession(seed=SEED).run_plan(plan))
+    t_parallel = best_of(
+        lambda: run_plan_parallel(plan, workers=WORKERS, seed=SEED)
     )
-    t_parallel = time.perf_counter() - start
 
-    assert len(serial.scenario_results) == len(parallel.scenario_results)
     speedup = t_serial / t_parallel
+    record_speedup(
+        "parallel_plan",
+        speedup,
+        t_serial,
+        t_parallel,
+        gate=1.5,
+        detail=f"{len(plan.expanded())} abl-wkb scenarios, "
+        f"{WORKERS} process workers",
+    )
     assert speedup >= 1.5, (
         f"parallel plan only {speedup:.2f}x faster than serial "
         f"({t_serial:.2f}s vs {t_parallel:.2f}s for "

@@ -38,17 +38,11 @@ sessions that actually ran. Failure paths are deterministically
 testable through :mod:`repro.testing.faults`, which workers consult
 before every scenario.
 
-Shard strategies (``shard_by``):
-
-* ``"round-robin"`` -- scenario *i* goes to shard ``i % workers``;
-  the default, even and oblivious.
-* ``"by-experiment"`` -- scenarios of one experiment id stay on one
-  shard (maximising intra-shard cache reuse for sweeps), groups
-  balanced across shards by total cost hint.
-* ``"by-cost"`` -- longest-processing-time greedy packing on the
-  registry's per-experiment cost hints
-  (:func:`~repro.experiments.registry.experiment_cost`), for plans
-  mixing cheap figure sweeps with expensive ablations.
+Sharding is one rule, longest-processing-time (LPT) greedy packing on
+the registry's per-experiment cost hints
+(:func:`~repro.experiments.registry.experiment_cost`): heaviest
+scenario first onto the least-loaded shard. With equal hints it places
+scenario *i* on shard ``i % workers``.
 """
 
 from __future__ import annotations
@@ -82,9 +76,6 @@ from .plan import (
 )
 from .scenario import Scenario
 from .session import SimulationSession, derive_worker_seed
-
-#: The shard strategies :func:`shard_plan` understands.
-SHARD_STRATEGIES = ("round-robin", "by-experiment", "by-cost")
 
 #: The worker pool kinds :func:`run_plan_parallel` understands.
 EXECUTOR_KINDS = ("process", "thread")
@@ -142,67 +133,37 @@ def scenario_cost(scenario: Scenario) -> float:
     Currently the registry's per-experiment hint
     (:func:`~repro.experiments.registry.experiment_cost`); override
     granularity (e.g. scaling with ``n_points``) can refine this later
-    without touching the shard strategies.
+    without touching :func:`shard_plan`.
     """
     return experiment_cost(scenario.experiment_id)
 
 
-def shard_plan(
-    plan: RunPlan, workers: int, shard_by: str = "round-robin"
-) -> "tuple[Shard, ...]":
+def shard_plan(plan: RunPlan, workers: int) -> "tuple[Shard, ...]":
     """Partition a plan's expanded scenarios into at most ``workers`` shards.
 
-    Every expanded scenario lands in exactly one shard; empty shards
-    are dropped, so fewer than ``workers`` shards come back when the
-    plan is small (or ``by-experiment`` has fewer experiment ids than
-    workers). Shard indices are contiguous from 0 and the partition is
-    a pure function of ``(plan, workers, shard_by)`` -- no randomness,
-    so a re-run shards (and therefore seeds workers) identically.
+    LPT greedy on per-scenario cost hints: scenarios sorted by
+    ``(-cost, position)`` each go to the least-loaded shard (the first
+    one on ties), and each shard then runs in plan order. Every
+    expanded scenario lands in exactly one shard; empty shards are
+    dropped, so fewer than ``workers`` shards come back when the plan
+    is small. Shard indices are contiguous from 0 and the partition is
+    a pure function of ``(plan, workers)`` -- no randomness, so a
+    re-run shards (and therefore seeds workers) identically.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if shard_by not in SHARD_STRATEGIES:
-        known = ", ".join(SHARD_STRATEGIES)
-        raise ConfigurationError(
-            f"unknown shard strategy {shard_by!r}; available: {known}"
-        )
-    indexed = list(enumerate(plan.expanded()))
     buckets: "list[list[tuple[int, Scenario]]]" = [[] for _ in range(workers)]
-
-    if shard_by == "round-robin":
-        for position, scenario in indexed:
-            buckets[position % workers].append((position, scenario))
-    elif shard_by == "by-experiment":
-        groups: "dict[str, list[tuple[int, Scenario]]]" = {}
-        for position, scenario in indexed:
-            groups.setdefault(scenario.experiment_id, []).append(
-                (position, scenario)
-            )
-        # Heaviest group first onto the lightest bucket (LPT on groups);
-        # ties broken by first appearance to stay deterministic.
-        order = sorted(
-            groups,
-            key=lambda k: (-sum(scenario_cost(s) for _, s in groups[k]),
-                           groups[k][0][0]),
-        )
-        loads = [0.0] * workers
-        for key in order:
-            target = loads.index(min(loads))
-            buckets[target].extend(groups[key])
-            loads[target] += sum(scenario_cost(s) for _, s in groups[key])
-        for bucket in buckets:
-            bucket.sort()  # a bucket holding several groups: plan order
-    else:  # by-cost: LPT greedy on per-scenario hints
-        order = sorted(
-            indexed, key=lambda pair: (-scenario_cost(pair[1]), pair[0])
-        )
-        loads = [0.0] * workers
-        for position, scenario in order:
-            target = loads.index(min(loads))
-            buckets[target].append((position, scenario))
-            loads[target] += scenario_cost(scenario)
-        for bucket in buckets:
-            bucket.sort()  # run each shard's scenarios in plan order
+    order = sorted(
+        enumerate(plan.expanded()),
+        key=lambda pair: (-scenario_cost(pair[1]), pair[0]),
+    )
+    loads = [0.0] * workers
+    for position, scenario in order:
+        target = loads.index(min(loads))
+        buckets[target].append((position, scenario))
+        loads[target] += scenario_cost(scenario)
+    for bucket in buckets:
+        bucket.sort()  # run each shard's scenarios in plan order
 
     shards = []
     for bucket in buckets:
@@ -292,7 +253,7 @@ class _ShardSupervisor:
       failed ``max_shard_retries + 1`` times, except
       :class:`~repro.errors.ConfigurationError`, which no retry can
       fix and fails fast.
-    * On its last retry, a multi-scenario unit is (optionally) split
+    * On its last retry, a multi-scenario unit is split
       into single-scenario units so one poison scenario cannot take
       its shard-mates down with it.
     * A broken pool is rebuilt; ``POOL_BREAKS_BEFORE_DEGRADE``
@@ -319,7 +280,6 @@ class _ShardSupervisor:
         timeout_s: "float | None",
         max_shard_retries: int,
         raise_on_failure: bool,
-        split_failed_shards: bool,
     ) -> None:
         self.shards = shards
         self.seed = seed
@@ -328,7 +288,6 @@ class _ShardSupervisor:
         self.timeout_s = timeout_s
         self.max_shard_retries = max_shard_retries
         self.raise_on_failure = raise_on_failure
-        self.split_failed_shards = split_failed_shards
         self.max_pool_size = max(1, len(shards))
         self._mode_index = 0
         self._breaks = 0
@@ -509,8 +468,7 @@ class _ShardSupervisor:
         retryable = not isinstance(exc, ConfigurationError)
         if retryable and unit.attempts <= self.max_shard_retries:
             if (
-                self.split_failed_shards
-                and len(unit.shard.items) > 1
+                len(unit.shard.items) > 1
                 and unit.attempts >= self.max_shard_retries
             ):
                 # Last chance: isolate the poison scenario by retrying
@@ -578,14 +536,13 @@ def run_plan_parallel(
     plan: RunPlan,
     *,
     workers: "int | None" = None,
-    shard_by: str = "round-robin",
+    shard_by: str = "by-cost",
     seed: int = 0,
     defaults: "Mapping[str, Any] | None" = None,
     executor: str = "process",
     timeout_s: "float | None" = None,
     max_shard_retries: int = 2,
     raise_on_failure: bool = True,
-    split_failed_shards: bool = True,
 ) -> ParallelPlanResult:
     """Run every scenario of a plan across supervised worker shards.
 
@@ -608,8 +565,8 @@ def run_plan_parallel(
     failed, crashed (``BrokenProcessPool``), or timed-out shard is
     retried -- on a rebuilt pool when the old one broke -- until it has
     failed ``max_shard_retries + 1`` times; on the last retry a
-    multi-scenario shard is split into single-scenario units (disable
-    with ``split_failed_shards=False``) to isolate a poison scenario;
+    multi-scenario shard is split into single-scenario units to
+    isolate a poison scenario;
     and persistent pool breakage degrades the executor mode
     process -> thread -> inline. Because a worker session's seed
     depends only on the plan seed and shard index, a retried or split
@@ -631,7 +588,16 @@ def run_plan_parallel(
     the run always returns, possibly partial: completed scenarios are
     salvaged into ``scenario_results`` and every exhausted unit is a
     typed :class:`~repro.api.plan.ShardFailure` in ``failures``.
+
+    ``shard_by`` accepts only ``"by-cost"``, the one rule of
+    :func:`shard_plan`. The keyword stays because the benchmark harness
+    (``perfbench/run.py``) still passes it; it goes once perfbench
+    reads in-tree spans instead of patching names (ROADMAP.md).
     """
+    if shard_by != "by-cost":
+        raise ConfigurationError(
+            f"unknown shard rule {shard_by!r}; the only rule is 'by-cost'"
+        )
     if executor not in EXECUTOR_KINDS:
         known = ", ".join(EXECUTOR_KINDS)
         raise ConfigurationError(
@@ -647,7 +613,7 @@ def run_plan_parallel(
         )
     if workers is None:
         workers = 4
-    shards = shard_plan(plan, workers, shard_by)
+    shards = shard_plan(plan, workers)
 
     if len(shards) == 1 and timeout_s is None:
         modes: "tuple[str, ...]" = ("inline",)
@@ -664,7 +630,6 @@ def run_plan_parallel(
         timeout_s=timeout_s,
         max_shard_retries=max_shard_retries,
         raise_on_failure=raise_on_failure,
-        split_failed_shards=split_failed_shards,
     )
     outputs, failures = supervisor.run()
     return merge_shard_results(plan, outputs, failures=failures)

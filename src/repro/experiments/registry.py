@@ -58,7 +58,7 @@ _SPECS: "dict[str, str]" = {
 _RESOLVED: "dict[str, Runner]" = {}
 
 #: Relative cost hints (dimensionless, 1.0 = a cheap vectorized figure
-#: sweep) used by the parallel executor's ``by-cost`` shard strategy to
+#: sweep) used by the parallel executor's LPT shard rule to
 #: balance shards before running anything. Only the *ratios* matter,
 #: and ids absent here default to 1.0 via :func:`experiment_cost`.
 #:
@@ -94,8 +94,8 @@ def experiment_cost(experiment_id: str) -> float:
     """The relative cost hint of one experiment (default 1.0).
 
     A dimensionless estimate of how expensive one run is compared to a
-    cheap vectorized figure sweep; the parallel executor's ``by-cost``
-    strategy balances shards on these hints. Unknown ids are *not*
+    cheap vectorized figure sweep; the parallel executor's LPT shard
+    rule balances shards on these hints. Unknown ids are *not*
     rejected here (the registry check happens when the experiment is
     resolved) -- they simply cost 1.0.
     """

@@ -6,7 +6,7 @@ Usage (installed as ``repro-experiments``)::
     repro-experiments fig6 fig7           # selected experiments
     repro-experiments fig6 --set temperature_k=400   # parameterized
     repro-experiments --plan plan.json    # a declarative RunPlan
-    repro-experiments --plan plan.json --workers 4 --shard-by by-cost
+    repro-experiments --plan plan.json --workers 4
                                           # sharded parallel execution
     repro-experiments --paper-only        # only the paper figures
     repro-experiments --csv-dir out/      # also export series as CSV
@@ -133,7 +133,6 @@ def _run_plan(
             from_store=args.from_store,
             update_store=args.update_store,
             workers=args.workers,
-            shard_by=args.shard_by,
             timeout_s=args.shard_timeout,
             max_shard_retries=args.shard_retries,
         )
@@ -141,7 +140,6 @@ def _run_plan(
         outcome = session.run_plan_parallel(
             plan,
             workers=args.workers,
-            shard_by=args.shard_by or "round-robin",
             timeout_s=args.shard_timeout,
             max_shard_retries=args.shard_retries,
         )
@@ -267,14 +265,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         type=int,
         default=1,
         help="run a --plan across N sharded worker sessions "
-        "(process pool; results are bit-identical to the serial run)",
-    )
-    parser.add_argument(
-        "--shard-by",
-        choices=["round-robin", "by-experiment", "by-cost"],
-        default=None,
-        help="how --workers splits the plan across workers "
-        "(default round-robin; requires --workers >= 2)",
+        "(LPT on cost hints, process pool; results are bit-identical "
+        "to the serial run)",
     )
     parser.add_argument(
         "--shard-timeout",
@@ -335,11 +327,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if args.workers < 1:
             raise ConfigurationError(
                 f"--workers must be >= 1, got {args.workers}"
-            )
-        if args.shard_by is not None and args.workers < 2:
-            raise ConfigurationError(
-                "--shard-by only applies to parallel runs; pass "
-                "--workers N (N >= 2) alongside it"
             )
         if args.shard_timeout is not None and args.workers < 2:
             raise ConfigurationError(

@@ -25,7 +25,6 @@ from .materials.base import DielectricMaterial
 from .materials.registry import get_dielectric
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from .api.plan import PlanResult
     from .experiments.base import ExperimentResult
     from .service.store import StoreRecord
 
@@ -291,23 +290,6 @@ def store_record_from_dict(data: Mapping[str, Any]) -> "StoreRecord":
     from .service.store import StoreRecord
 
     return from_record(StoreRecord, data)
-
-
-def plan_result_to_dict(result: "PlanResult") -> "dict[str, Any]":
-    """PlanResult -> JSON summary (a derived report, so encode-only)."""
-    record = {
-        "plan": to_record(result.plan),
-        "scenario_results": [to_record(s) for s in result.scenario_results],
-        "cache": {
-            "hits": result.cache_stats.hits,
-            "misses": result.cache_stats.misses,
-            "cross_scenario_hits": result.cross_scenario_hits,
-        },
-    }
-    for key, attr in (("shards", "shard_reports"), ("failures", "failures")):
-        if getattr(result, attr, ()):
-            record[key] = [to_record(x) for x in getattr(result, attr)]
-    return record
 
 
 def save_json(data: Mapping[str, Any], path: "str | Path") -> Path:

@@ -101,7 +101,6 @@ class ServiceApp:
         seed: int = 0,
         defaults: "Mapping[str, Any] | None" = None,
         workers: int = 1,
-        shard_by: str = "round-robin",
         executor: str = "process",
         max_pending: int = 16,
         max_concurrent: int = 2,
@@ -155,7 +154,6 @@ class ServiceApp:
             seed=seed,
             defaults=defaults,
             workers=workers,
-            shard_by=shard_by,
             executor=executor,
             max_pending=max_pending,
             max_concurrent=max_concurrent,

@@ -73,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shard each job across N executor workers",
     )
     serve.add_argument(
-        "--shard-by",
-        choices=["round-robin", "by-experiment", "by-cost"],
-        default="round-robin",
-    )
-    serve.add_argument(
         "--executor",
         choices=["process", "thread"],
         default="process",
@@ -278,7 +273,6 @@ async def _serve(args: argparse.Namespace) -> int:
         port=args.port,
         seed=args.seed,
         workers=args.workers,
-        shard_by=args.shard_by,
         executor=args.executor,
         max_pending=args.max_pending,
         max_concurrent=args.max_concurrent,

@@ -69,6 +69,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -419,7 +420,6 @@ def compute_scenario_results(
     seed: int = 0,
     defaults: "Mapping[str, Any] | None" = None,
     workers: int = 1,
-    shard_by: str = "round-robin",
     executor: str = "process",
     timeout_s: "float | None" = None,
     max_shard_retries: int = 2,
@@ -444,7 +444,6 @@ def compute_scenario_results(
     outcome = run_plan_parallel(
         plan,
         workers=max(1, int(workers)),
-        shard_by=shard_by,
         seed=seed,
         defaults=defaults,
         executor=executor,
@@ -487,7 +486,6 @@ class JobManager:
         seed: int = 0,
         defaults: "Mapping[str, Any] | None" = None,
         workers: int = 1,
-        shard_by: str = "round-robin",
         executor: str = "process",
         max_pending: int = 16,
         max_concurrent: int = 2,
@@ -545,7 +543,6 @@ class JobManager:
         self.seed = int(seed)
         self.defaults = dict(defaults or {})
         self.workers = int(workers)
-        self.shard_by = shard_by
         self.executor = executor
         self.shard_timeout_s = (
             None if shard_timeout_s is None else float(shard_timeout_s)
@@ -662,20 +659,25 @@ class JobManager:
                 f"job queue full ({self.max_pending} pending); retry later"
             )
         # Write-ahead, fsynced: the acceptance survives any crash that
-        # happens after the 202 reaches the client.
-        job_id = f"job-{self.state.max_job_seq + 1}"
-        self._commit(
+        # happens after the 202 reaches the client. The id is numbered
+        # past every job in the shared journal, under its lock, so a
+        # replica on the same file cannot take it too.
+        data = payload(
             "accepted",
-            job_id,
-            payload(
-                "accepted",
-                to_record(plan),
-                plan_hash(plan, defaults=self.defaults),
-                rank,
-                None if timeout_s is None else float(timeout_s),
-            ),
-            sync=True,
+            to_record(plan),
+            plan_hash(plan, defaults=self.defaults),
+            rank,
+            None if timeout_s is None else float(timeout_s),
         )
+        lock = (
+            nullcontext(self.state)
+            if self.journal is None
+            else self.journal.locked()
+        )
+        with lock as shared:
+            seq = max(self.state.max_job_seq, shared.max_job_seq)
+            job_id = f"job-{seq + 1}"
+            self._commit("accepted", job_id, data, sync=True)
         job = self.state.jobs[job_id]
         job.plan = plan
         self._schedule(job)
@@ -807,7 +809,6 @@ class JobManager:
             "queued_for_slot": self._gate.waiting,
             "max_pending": self.max_pending,
             "workers": self.workers,
-            "shard_by": self.shard_by,
             "executor": self.executor,
             "job_ttl_s": self.job_ttl_s,
             "max_records": self.max_records,
@@ -1033,7 +1034,6 @@ class JobManager:
                                 seed=self.seed,
                                 defaults=self.defaults,
                                 workers=self.workers,
-                                shard_by=self.shard_by,
                                 executor=self.executor,
                                 timeout_s=self.shard_timeout_s,
                                 max_shard_retries=self.max_shard_retries,

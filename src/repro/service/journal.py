@@ -35,19 +35,23 @@ job whose finished scenarios are in the store). Every
 its live write uses. A replica must hold the :class:`LeaseRecord` for
 a plan hash before computing it and renews it on a TTL heartbeat; log
 order arbitrates racing claims, and an expired lease (crashed owner)
-is adopted by whoever claims it next.
+is adopted by whoever claims it next. Job ids come from the shared
+view under :meth:`~JobJournal.locked`, so two replicas on one file
+never number two jobs alike.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from ..errors import ConfigurationError
 
@@ -320,6 +324,7 @@ class JobJournal:
     single ``write()`` calls on an ``O_APPEND`` descriptor, so lines
     from concurrent writers never interleave, and :meth:`refresh`
     folds in whatever other writers appended since our last read.
+    :meth:`locked` serialises what must not interleave across writers.
     All methods must be called from one thread (the event loop).
     """
 
@@ -450,6 +455,23 @@ class JobJournal:
         if self._since_compact >= self.compact_every:
             self.compact()
         return entry
+
+    @contextmanager
+    def locked(self) -> Iterator[JournalState]:
+        """Hold the writers' exclusive lock; yields the refreshed state.
+
+        An ``fcntl.flock`` on the sibling ``<journal>.lock`` file -- not
+        on the journal, whose inode :meth:`compact` swaps -- so every
+        process sharing the file runs the block one at a time. The job
+        manager reads the next job id and appends its ``accepted``
+        entry inside it. Not reentrant.
+        """
+        fd = os.open(f"{self.path}.lock", os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield self.refresh()
+        finally:
+            os.close(fd)  # closing the descriptor drops the lock
 
     def mark_clean_shutdown(self) -> None:
         """Append the fsynced ``shutdown`` marker the drain path writes.

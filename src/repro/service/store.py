@@ -550,7 +550,6 @@ def run_plan_with_store(
     from_store: "ResultStore | str | Path | None" = None,
     update_store: "ResultStore | str | Path | None" = None,
     workers: int = 1,
-    shard_by: "str | None" = None,
     timeout_s: "float | None" = None,
     max_shard_retries: int = 2,
 ) -> "tuple[PlanResult, StoreReport]":
@@ -598,7 +597,6 @@ def run_plan_with_store(
             computed = session.run_plan_parallel(
                 sub_plan,
                 workers=workers,
-                shard_by=shard_by or "round-robin",
                 timeout_s=timeout_s,
                 max_shard_retries=max_shard_retries,
             )

@@ -3,9 +3,9 @@
 The spine of the suite is the executor's determinism contract: for the
 same plan and seed, parallel execution must reproduce ``run_plan``'s
 serial results *bit-identically* (canonical JSON equality on every
-scenario result), checked here over three experiments and multiple
-shard strategies, on both pool kinds. Around it: shard_plan unit
-invariants, worker seeding, merge validation, and the regression test
+scenario result), checked here over three experiments on both pool
+kinds. Around it: the one shard rule (LPT on cost hints) as a table of
+partitions, worker seeding, merge validation, and the regression test
 for the documented order-dependence contract of cache attribution
 (serial and parallel runs must agree on the conserved totals even
 though reuse attribution legitimately differs).
@@ -31,11 +31,13 @@ from repro.api import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.registry import experiment_cost
+from repro.experiments.runner import main as experiments_main
 from repro.io import experiment_result_to_dict
+from repro.service.cli import main as service_main
 
 # Three experiments (a temperature sweep, a GCR family and an ablation)
 # expanded to seven concrete scenarios -- small enough for the suite,
-# structured enough to exercise every strategy's grouping.
+# with equal cost hints, so LPT deals positions out round-robin.
 PLAN = RunPlan(
     name="executor-suite",
     scenarios=(
@@ -59,39 +61,66 @@ def serial():
     return SimulationSession(seed=SEED).run_plan(PLAN)
 
 
+def _plan_of(*experiment_ids: str) -> RunPlan:
+    return RunPlan(scenarios=tuple(Scenario(e) for e in experiment_ids))
+
+
 class TestShardPlan:
-    @pytest.mark.parametrize(
-        "shard_by", ["round-robin", "by-experiment", "by-cost"]
-    )
+    def test_partition_cases(self):
+        """The one rule, as (plan, workers) -> positions per shard."""
+        cases = (
+            # Uniform hints: LPT with the position tie-break is i % workers
+            # (two workers: test_round_robin_assignment).
+            ((PLAN, 3), [[0, 3, 6], [1, 4], [2, 5]]),
+            # Mixed hints (198, 160, 23, 3, 1): heaviest first onto the
+            # least-loaded shard, each shard then in plan order.
+            (
+                (_plan_of("fig6", "abl-wkb", "cmp-si", "mem-ftl", "fig2"), 2),
+                [[1], [0, 2, 3, 4]],
+            ),
+            # Fewer scenarios than workers: empty shards are dropped.
+            ((_plan_of("fig6", "abl-temp"), 5), [[0], [1]]),
+        )
+        for (plan, workers), want in cases:
+            shards = shard_plan(plan, workers)
+            assert [[p for p, _ in s.items] for s in shards] == want
+            assert [s.index for s in shards] == list(range(len(want)))
+
+    def test_unknown_strategy_rejected(self, capsys):
+        """Any other ``shard_by`` is a ConfigurationError naming by-cost,
+        and neither CLI has a --shard-by flag (argparse exits 2)."""
+        for shard_by in ("round-robin", "by-experiment", "by-vibes"):
+            with pytest.raises(ConfigurationError, match="by-cost"):
+                run_plan_parallel(PLAN, shard_by=shard_by)
+        cases = (
+            (service_main, ["serve", "--store", "s", "--shard-by", "x"]),
+            (experiments_main, ["--plan", "p", "--shard-by", "x"]),
+        )
+        for main, argv in cases:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--shard-by" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 5, 16])
-    def test_sharding_is_a_partition(self, shard_by, workers):
-        """Every strategy covers each expanded scenario exactly once."""
-        shards = shard_plan(PLAN, workers, shard_by)
+    def test_sharding_is_a_partition(self, workers):
+        """The rule covers each expanded scenario exactly once."""
+        shards = shard_plan(PLAN, workers)
         positions = sorted(p for s in shards for p, _ in s.items)
         assert positions == list(range(len(PLAN.expanded())))
         assert [s.index for s in shards] == list(range(len(shards)))
         assert len(shards) <= workers
 
     def test_round_robin_assignment(self):
-        shards = shard_plan(PLAN, 2, "round-robin")
+        """Equal hints deal scenario *i* to shard ``i % workers``."""
+        shards = shard_plan(PLAN, 2)
         assert [p for p, _ in shards[0].items] == [0, 2, 4, 6]
         assert [p for p, _ in shards[1].items] == [1, 3, 5]
-
-    def test_by_experiment_keeps_families_together(self):
-        shards = shard_plan(PLAN, 3, "by-experiment")
-        for shard in shards:
-            ids = {s.experiment_id for _, s in shard.items}
-            # One experiment never straddles two shards.
-            for other in shards:
-                if other is not shard:
-                    assert ids.isdisjoint(
-                        {s.experiment_id for _, s in other.items}
-                    )
 
     def test_by_cost_balances_on_hints(self):
         """LPT packing: no shard carries more than half the total cost
         when two shards are available and no single scenario dominates."""
-        shards = shard_plan(PLAN, 2, "by-cost")
+        shards = shard_plan(PLAN, 2)
         costs = [shard.cost for shard in shards]
         assert sum(costs) == sum(
             scenario_cost(s) for s in PLAN.expanded()
@@ -100,14 +129,13 @@ class TestShardPlan:
         assert max(costs) <= sum(costs) / 2 + heaviest
 
     def test_shards_run_in_plan_order_within_a_shard(self):
-        for shard_by in ("round-robin", "by-experiment", "by-cost"):
-            for shard in shard_plan(PLAN, 3, shard_by):
-                positions = [p for p, _ in shard.items]
-                assert positions == sorted(positions)
+        for shard in shard_plan(PLAN, 3):
+            positions = [p for p, _ in shard.items]
+            assert positions == sorted(positions)
 
     def test_groups_sharing_a_bucket_stay_in_plan_order(self):
-        """Regression: by-experiment packs heavy groups first (LPT), so
-        a cheap-but-earlier group landing in the same bucket as a
+        """Regression: LPT packs heavy scenarios first, so a
+        cheap-but-earlier scenario landing in the same bucket as a
         costlier later one must still run in plan order."""
         plan = RunPlan(
             scenarios=(
@@ -115,13 +143,8 @@ class TestShardPlan:
                 Scenario("abl-wkb"),  # cost 400, packed first
             )
         )
-        for shard_by in ("by-experiment", "by-cost"):
-            (shard,) = shard_plan(plan, 1, shard_by)
-            assert [p for p, _ in shard.items] == [0, 1]
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            shard_plan(PLAN, 2, "by-vibes")
+        (shard,) = shard_plan(plan, 1)
+        assert [p for p, _ in shard.items] == [0, 1]
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -145,7 +168,7 @@ class TestWorkerSeeding:
         assert len(seeds) == 16  # no collisions across nearby inputs
 
     def test_worker_sessions_get_derived_seeds(self):
-        shards = shard_plan(PLAN, 2, "round-robin")
+        shards = shard_plan(PLAN, 2)
         report, _ = run_shard(shards[1], seed=SEED)
         assert report.seed == derive_worker_seed(SEED, 1)
         assert report.index == 1
@@ -154,17 +177,11 @@ class TestWorkerSeeding:
 class TestDeterminismContract:
     """The acceptance bar: parallel == serial, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "shard_by", ["round-robin", "by-experiment", "by-cost"]
-    )
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_bit_identical_to_serial(
-        self, serial, shard_by, executor
-    ):
+    def test_parallel_bit_identical_to_serial(self, serial, executor):
         parallel = run_plan_parallel(
             PLAN,
             workers=3,
-            shard_by=shard_by,
             seed=SEED,
             executor=executor,
         )
@@ -210,12 +227,9 @@ class TestAttributionConsistency:
     it must not: a worker can never reuse another shard's entries.)
     """
 
-    @pytest.mark.parametrize(
-        "shard_by", ["round-robin", "by-experiment", "by-cost"]
-    )
-    def test_conserved_totals_match_serial(self, serial, shard_by):
+    def test_conserved_totals_match_serial(self, serial):
         parallel = run_plan_parallel(
-            PLAN, workers=3, shard_by=shard_by, seed=SEED, executor="thread"
+            PLAN, workers=3, seed=SEED, executor="thread"
         )
         serial_lookups = [
             r.cache_stats.hits + r.cache_stats.misses
@@ -254,13 +268,13 @@ class TestAttributionConsistency:
 
 class TestMergeValidation:
     def test_duplicate_positions_rejected(self):
-        shards = shard_plan(PLAN, 2, "round-robin")
+        shards = shard_plan(PLAN, 2)
         output = run_shard(shards[0], seed=SEED)
         with pytest.raises(ConfigurationError, match="twice"):
             merge_shard_results(PLAN, (output, output))
 
     def test_incomplete_partition_rejected(self):
-        shards = shard_plan(PLAN, 2, "round-robin")
+        shards = shard_plan(PLAN, 2)
         output = run_shard(shards[0], seed=SEED)
         with pytest.raises(ConfigurationError, match="partition"):
             merge_shard_results(PLAN, (output,))

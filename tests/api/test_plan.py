@@ -1,13 +1,11 @@
 """RunPlan execution: one session, many scenarios, visible cache reuse."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.api import RunPlan, Scenario, SimulationSession, run_scenario
 from repro.errors import ConfigurationError
-from repro.io import from_record, plan_result_to_dict, to_record
+from repro.io import from_record, to_record
 
 
 @pytest.fixture(scope="module")
@@ -116,9 +114,3 @@ class TestPlanSerialization:
     def test_empty_plan_rejected(self):
         with pytest.raises(ConfigurationError):
             RunPlan(scenarios=())
-
-    def test_plan_result_record_is_plain_json(self, outcome):
-        record = plan_result_to_dict(outcome)
-        text = json.dumps(record)
-        assert "cross_scenario_hits" in text
-        assert len(record["scenario_results"]) == 4

@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError
 from repro.io import experiment_result_to_dict
 from repro.testing import FaultSpec, InjectedFault, faults_installed
 
-# Three concrete scenarios; round-robin over two workers puts positions
+# Three concrete scenarios with equal cost hints; two workers put positions
 # (0, 2) on shard 0 and (1,) on shard 1 -- small enough to retry
 # repeatedly in the suite, structured enough to salvage around a loss.
 PLAN = RunPlan(
@@ -134,21 +134,6 @@ class TestPartialSalvage:
         assert failure.attempts == 2
         assert "InjectedFault" in failure.message
 
-    def test_split_disabled_loses_the_whole_shard(self):
-        with faults_installed(FaultSpec(kind="raise", position=2)):
-            outcome = run_plan_parallel(
-                PLAN,
-                workers=2,
-                executor="thread",
-                seed=SEED,
-                max_shard_retries=1,
-                raise_on_failure=False,
-                split_failed_shards=False,
-            )
-        assert outcome.failed_positions == (0, 2)
-        (failure,) = outcome.failures
-        assert failure.positions == (0, 2)
-
     def test_raise_on_failure_names_the_lost_scenarios(self):
         with faults_installed(FaultSpec(kind="raise", shard=1)):
             with pytest.raises(ShardExecutionError) as excinfo:
@@ -222,7 +207,7 @@ class TestPartialMerge:
         return tuple(run_shard(s, seed=SEED) for s in shards)
 
     def test_failures_complete_the_partition(self):
-        shards = shard_plan(PLAN, 2, "round-robin")
+        shards = shard_plan(PLAN, 2)
         outputs = self._outputs(shards[:1])  # positions (0, 2) computed
         failure = ShardFailure(
             index=1, positions=(1,), scenario_ids=("x",),
@@ -234,7 +219,7 @@ class TestPartialMerge:
         assert sorted(merged.results_by_position()) == [0, 2]
 
     def test_overlapping_failure_rejected(self):
-        shards = shard_plan(PLAN, 2, "round-robin")
+        shards = shard_plan(PLAN, 2)
         outputs = self._outputs(shards)  # every position computed
         failure = ShardFailure(
             index=1, positions=(1,), scenario_ids=("x",),
@@ -244,7 +229,7 @@ class TestPartialMerge:
             merge_shard_results(PLAN, outputs, failures=(failure,))
 
     def test_uncovered_position_rejected(self):
-        shards = shard_plan(PLAN, 2, "round-robin")
+        shards = shard_plan(PLAN, 2)
         outputs = self._outputs(shards[:1])  # position 1 never accounted
         with pytest.raises(ConfigurationError, match="partition"):
             merge_shard_results(PLAN, outputs)

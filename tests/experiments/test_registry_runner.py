@@ -171,6 +171,61 @@ class TestRunnerPlanMode:
         first = json.loads(records[0].read_text())
         assert "scenario" in first and "result" in first
 
+    def test_parallel_plan_exports_match_serial(self, tmp_path, capsys):
+        """``--workers 2`` exports what ``--workers 1`` does.
+
+        CSV series match byte for byte. A JSON record also carries the
+        run's attribution (``elapsed_s`` and cache counters), which
+        differs between any two runs, so its ``scenario`` and
+        ``result`` must match byte for byte.
+        """
+        import json
+
+        plan = {
+            "name": "runner-parallel",
+            "scenarios": [
+                {
+                    "experiment_id": "fig6",
+                    "overrides": {"n_points": 6},
+                    "sweep": {"temperature_k": [300.0, 400.0]},
+                },
+                {"experiment_id": "abl-temp", "overrides": {"n_points": 4}},
+            ],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        exports = {}
+        for workers in ("2", "1"):
+            out_dir = tmp_path / f"workers-{workers}"
+            code = main(
+                [
+                    "--plan",
+                    str(plan_path),
+                    "--workers",
+                    workers,
+                    "--no-plot",
+                    "--csv-dir",
+                    str(out_dir),
+                    "--json-dir",
+                    str(out_dir),
+                ]
+            )
+            assert code == 0
+            exports[workers] = {}
+            for path in sorted(out_dir.iterdir()):
+                if path.suffix == ".json":
+                    record = json.loads(path.read_text())
+                    text = json.dumps(
+                        [record["scenario"], record["result"]],
+                        sort_keys=True,
+                    )
+                else:
+                    text = path.read_text()
+                exports[workers][path.name] = text
+        assert len(exports["1"]) == 6  # three scenarios, CSV + JSON each
+        assert exports["2"] == exports["1"]
+        assert "shard 1:" in capsys.readouterr().out
+
     def test_plan_conflicts_with_set(self, tmp_path, capsys):
         code = main(
             [

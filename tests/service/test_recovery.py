@@ -376,6 +376,49 @@ class TestLeases:
         assert rec_b.sources == ("store",)
 
 
+def test_replicas_on_one_journal_number_jobs_apart(tmp_path):
+    """Two managers on one journal never hand out the same job id.
+
+    Each numbers its next job past every job in the *shared* journal
+    (under the journal's lock), so neither ``accepted`` line replaces
+    the other's job on replay.
+    """
+    path = tmp_path / "journal.jsonl"
+    store = ResultStore(tmp_path / "store")
+    plans = {
+        "owner-a": _plan(n_points=5, name="pa"),
+        "owner-b": _plan(n_points=7, name="pb"),
+    }
+
+    async def scenario():
+        managers = [
+            JobManager(
+                store,
+                executor="thread",
+                journal=JobJournal(path),
+                owner_id=owner,
+            )
+            for owner in plans
+        ]
+        try:
+            for manager in managers:
+                await manager.recover()
+            jobs = [m.submit(plans[m.owner_id]) for m in managers]
+            for manager in managers:
+                await asyncio.gather(*manager._tasks)
+            return [(job.id, job.plan_hash) for job in jobs]
+        finally:
+            for manager in managers:
+                await manager.close()
+
+    submitted = _run(scenario())
+    assert [job_id for job_id, _ in submitted] == ["job-1", "job-2"]
+    replayed = JobJournal(path).state.jobs
+    for (job_id, hash_), name in zip(submitted, ("pa", "pb")):
+        assert replayed[job_id].plan_hash == hash_
+        assert replayed[job_id].plan_record["name"] == name
+
+
 class TestAppRecovery:
     def test_clean_restart_recovers_jobs_and_marks_mode(self, tmp_path):
         store_dir = tmp_path / "store"

@@ -212,8 +212,7 @@ def test_api_guide_covers_the_executor():
     for needle in (
         "run_plan_parallel",
         "shard_by",
-        "round-robin",
-        "by-experiment",
+        "LPT",
         "by-cost",
         "derive_worker_seed",
         "ShardReport",
@@ -628,7 +627,6 @@ def test_api_guide_covers_fault_tolerance():
         "timeout_s",
         "max_shard_retries",
         "raise_on_failure",
-        "split_failed_shards",
         "ShardFailure",
         "ShardExecutionError",
         "results_by_position",
