@@ -69,15 +69,26 @@ def best_of(fn, repeats: int = 3) -> float:
 
     Best-of (rather than mean-of) guards speedup ratios against
     scheduler noise on shared CI runners; every gated benchmark times
-    both paths through this one helper so the policy cannot drift
-    between files.
+    both paths through this one helper (or :func:`best_of_interleaved`,
+    the same policy) so the policy cannot drift between files.
     """
-    best = float("inf")
+    return best_of_interleaved(fn, repeats=repeats)[0]
+
+
+def best_of_interleaved(*fns, repeats: int = 3) -> "tuple[float, ...]":
+    """Best-of-N wall time of each of ``fns`` [s], sampled in turns.
+
+    Round ``i`` times every function once, in argument order, so a
+    burst of load from other processes hits both sides of a ratio
+    alike instead of landing on whichever side happened to run then.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        for slot, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[slot] = min(best[slot], time.perf_counter() - start)
+    return tuple(best)
 
 
 def record_speedup(

@@ -1,11 +1,13 @@
 """Sharded parallel execution of run plans on worker sessions.
 
 :func:`run_plan_parallel` splits an expanded :class:`~repro.api.plan.RunPlan`
-into shards, runs each shard in its own worker -- a process by default,
+into shards, runs each shard on a worker -- a process by default,
 threads for in-memory debugging -- and merges the results back into a
-:class:`~repro.api.plan.ParallelPlanResult` in plan order. Each worker
-owns a fresh :class:`~repro.api.session.SimulationSession` whose seed is
-derived deterministically from the plan seed and shard index
+:class:`~repro.api.plan.ParallelPlanResult` in plan order. The pool
+has at most one worker per usable CPU (:func:`available_cpus`); shards
+beyond that queue for a free worker. Each shard runs on a fresh
+:class:`~repro.api.session.SimulationSession` whose seed is derived
+deterministically from the plan seed and shard index
 (:func:`~repro.api.session.derive_worker_seed`), and whose private
 :class:`~repro.engine.cache.CacheSet` gives the shard the same
 memoization semantics a serial run has -- just scoped to the shard.
@@ -47,6 +49,7 @@ scenario *i* on shard ``i % workers``.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -83,6 +86,13 @@ EXECUTOR_KINDS = ("process", "thread")
 #: Consecutive pool breakages tolerated before the supervisor degrades
 #: to the next executor mode (process -> thread -> inline).
 POOL_BREAKS_BEFORE_DEGRADE = 2
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (affinity-aware where supported)."""
+    if hasattr(os, "sched_getaffinity"):  # Linux; absent on macOS/Windows
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 class ShardExecutionError(ReproError):
@@ -288,11 +298,14 @@ class _ShardSupervisor:
         self.timeout_s = timeout_s
         self.max_shard_retries = max_shard_retries
         self.raise_on_failure = raise_on_failure
-        self.max_pool_size = max(1, len(shards))
+        # More CPU-bound workers than CPUs only adds contention, so the
+        # pool is capped at the usable CPUs and surplus shards queue.
+        self.max_pool_size = max(1, min(len(shards), available_cpus()))
         self._mode_index = 0
         self._breaks = 0
         self._tainted = False
         self._pool: "ProcessPoolExecutor | ThreadPoolExecutor | None" = None
+        self._pool_size = 0
         self._inflight: "dict[Future, _Unit]" = {}
         self._deadlines: "dict[Future, float]" = {}
 
@@ -356,11 +369,17 @@ class _ShardSupervisor:
                 else ThreadPoolExecutor
             )
             self._pool = pool_cls(max_workers=size)
+            self._pool_size = size
         return self._pool
 
     def _submit_ready(self, queue) -> None:
         pool = self._ensure_pool(len(queue))
-        while queue:
+        # Under a deadline, submit no more units than the pool has
+        # workers: a unit's clock starts at submission, so it must not
+        # sit in the pool's backlog while its clock runs.
+        while queue and (
+            self.timeout_s is None or len(self._inflight) < self._pool_size
+        ):
             unit = queue.popleft()
             unit.started = time.perf_counter()
             try:
@@ -546,8 +565,9 @@ def run_plan_parallel(
 ) -> ParallelPlanResult:
     """Run every scenario of a plan across supervised worker shards.
 
-    The plan is expanded, split by :func:`shard_plan`, executed one
-    shard per worker (``executor="process"`` by default;
+    The plan is expanded, split by :func:`shard_plan`, executed on a
+    pool of at most ``min(shards, available_cpus())`` workers, surplus
+    shards queuing for a free one (``executor="process"`` by default;
     ``executor="thread"`` keeps everything in-process for debugging --
     the ContextVar-scoped cache activation keeps worker sessions
     isolated either way), and merged back in plan order by
@@ -573,7 +593,9 @@ def run_plan_parallel(
     unit recomputes results bit-identical to the failed attempt's
     intent -- supervision never changes values, only who computes them.
 
-    ``timeout_s`` bounds each shard attempt's wall clock. A pool whose
+    ``timeout_s`` bounds each shard attempt's wall clock, counted from
+    the moment a worker is free to take it: under a deadline no more
+    attempts are submitted than the pool has workers. A pool whose
     worker blew the deadline is quarantined (its processes terminated
     once drained) and the shard retries on a fresh pool; thread
     workers cannot be killed, so a hung thread lingers until it

@@ -27,6 +27,7 @@ from repro.api import (
     run_shard,
     shard_plan,
 )
+from repro.api import executor as executor_module
 from repro.errors import ConfigurationError
 from repro.io import experiment_result_to_dict
 from repro.testing import FaultSpec, InjectedFault, faults_installed
@@ -192,6 +193,30 @@ class TestDeadlines:
         assert failure.cause == "timeout"
         assert "deadline" in failure.message
         assert outcome.scenario_results == ()
+
+    def test_queued_shard_clock_starts_when_it_runs(self, monkeypatch):
+        """A shard waiting for a free worker is not timed while it waits.
+
+        One usable CPU caps the pool at one worker, so shard 1 queues
+        behind shard 0; each sleeps 0.4 s against a 0.7 s deadline. Had
+        shard 1's clock started at the call, it would blow the deadline.
+        """
+        monkeypatch.setattr(executor_module, "available_cpus", lambda: 1)
+        with faults_installed(
+            FaultSpec(kind="slow", position=0, seconds=0.4),
+            FaultSpec(kind="slow", position=1, seconds=0.4),
+        ):
+            outcome = run_plan_parallel(
+                PLAN,
+                workers=2,
+                executor="thread",
+                seed=SEED,
+                timeout_s=0.7,
+                max_shard_retries=0,
+                raise_on_failure=False,
+            )
+        assert outcome.failures == ()
+        assert len(outcome.shard_reports) == 2
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ConfigurationError, match="timeout_s"):
