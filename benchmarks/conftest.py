@@ -64,23 +64,16 @@ def assert_reproduced(result):
     )
 
 
-def best_of(fn, repeats: int = 3) -> float:
-    """Best-of-N wall time of ``fn()`` [s] -- the shared timing policy.
-
-    Best-of (rather than mean-of) guards speedup ratios against
-    scheduler noise on shared CI runners; every gated benchmark times
-    both paths through this one helper (or :func:`best_of_interleaved`,
-    the same policy) so the policy cannot drift between files.
-    """
-    return best_of_interleaved(fn, repeats=repeats)[0]
-
-
 def best_of_interleaved(*fns, repeats: int = 3) -> "tuple[float, ...]":
     """Best-of-N wall time of each of ``fns`` [s], sampled in turns.
 
-    Round ``i`` times every function once, in argument order, so a
-    burst of load from other processes hits both sides of a ratio
-    alike instead of landing on whichever side happened to run then.
+    The shared timing policy: every speedup gate times its reference
+    and optimized paths in one call, so the policy cannot drift between
+    files. Best-of (rather than mean-of) guards the ratio against
+    scheduler noise on shared CI runners, and round ``i`` times every
+    function once, in argument order, so a burst of load from other
+    processes hits both sides of a ratio alike instead of landing on
+    whichever side happened to run then.
     """
     best = [float("inf")] * len(fns)
     for _ in range(repeats):

@@ -17,7 +17,7 @@ Two speedup gates ride on the batched kernels:
 
 import numpy as np
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.device import FloatingGateTransistor
 from repro.memory import (
@@ -96,14 +96,11 @@ def test_read_disturb_batch_speedup():
     assert (vt_batch[0] == 0.0).all()
     assert (vt_batch[1:] > 0.0).all()
 
-    t_scalar = best_of(
+    t_scalar, t_batch = best_of_interleaved(
         lambda: _hammer_block(
             apply_read_disturb_scalar_reference, drift_v
         ),
-        repeats=2,
-    )
-    t_batch = best_of(
-        lambda: _hammer_block(apply_read_disturb_batch, drift_v)
+        lambda: _hammer_block(apply_read_disturb_batch, drift_v),
     )
     speedup = t_scalar / t_batch
     record_speedup(
@@ -158,8 +155,9 @@ def test_rtn_ensemble_speedup():
     occupancy = (batch > 0.0).mean()
     assert abs(occupancy - trap.occupancy) < 0.1
 
-    t_scalar = best_of(lambda: _ensemble_scalar(trap), repeats=2)
-    t_batch = best_of(lambda: _ensemble_batch(trap))
+    t_scalar, t_batch = best_of_interleaved(
+        lambda: _ensemble_scalar(trap), lambda: _ensemble_batch(trap)
+    )
     speedup = t_scalar / t_batch
     record_speedup(
         "rtn_trajectory_ensemble",

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.reliability import EnduranceModel
 
@@ -81,8 +81,10 @@ def test_endurance_sweep_speedup(paper_device):
             rtol=1e-9,
         )
 
-    t_scalar = best_of(lambda: _scalar_sweep(paper_device), repeats=2)
-    t_batch = best_of(lambda: _batch_sweep(paper_device))
+    t_scalar, t_batch = best_of_interleaved(
+        lambda: _scalar_sweep(paper_device),
+        lambda: _batch_sweep(paper_device),
+    )
     speedup = t_scalar / t_batch
     record_speedup(
         "endurance_corner_sweep",

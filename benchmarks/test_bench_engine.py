@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.device import PROGRAM_BIAS
 from repro.engine import BatchSpec, clear_caches, fn_batch, tunneling_states
@@ -67,10 +67,10 @@ def test_engine_speedup_and_accuracy(paper_device):
     # Best-of-N guards the ratio against scheduler noise on shared CI
     # runners; the measured margin (~three orders of magnitude over the
     # 5x bar) leaves the assertion far from the flake zone, and the
-    # microsecond-scale batch path gets extra repeats to find a quiet
+    # extra repeats give the microsecond-scale batch path a quiet
     # window.
-    t_loop = best_of(lambda: _looped_states(paper_device, charges), repeats=5)
-    t_batch = best_of(
+    t_loop, t_batch = best_of_interleaved(
+        lambda: _looped_states(paper_device, charges),
         lambda: tunneling_states(paper_device, PROGRAM_BIAS, charges),
         repeats=15,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import assert_reproduced, best_of, record_speedup
+from conftest import assert_reproduced, best_of_interleaved, record_speedup
 
 from repro.device import simulate_transient
 from repro.engine import clear_caches, transient_sweep
@@ -91,8 +91,10 @@ def test_erase_sweep_vector_speedup(sim_session, paper_device):
     )
 
     # Warm caches for both paths, then race them.
-    t_per_lane = best_of(lambda: _erase_per_lane(paper_device, bias, q0))
-    t_vector = best_of(lambda: _erase_sweep(paper_device, bias, q0))
+    t_per_lane, t_vector = best_of_interleaved(
+        lambda: _erase_per_lane(paper_device, bias, q0),
+        lambda: _erase_sweep(paper_device, bias, q0),
+    )
     speedup = t_per_lane / t_vector
     record_speedup(
         "erase_transient_vector_sweep",

@@ -10,7 +10,7 @@ page bit-exactly, and gates the batch path at >= 5x on wide pages.
 
 import numpy as np
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.memory import (
     ArrayConfig,
@@ -104,8 +104,10 @@ def test_ftl_backend_speedup(cell_kernel):
         np.testing.assert_array_equal(got, bits)
         np.testing.assert_array_equal(got, ftl_scalar.read(lpage))
 
-    t_scalar = best_of(lambda: _ftl_churn(cell_kernel, True), repeats=2)
-    t_batch = best_of(lambda: _ftl_churn(cell_kernel, False))
+    t_scalar, t_batch = best_of_interleaved(
+        lambda: _ftl_churn(cell_kernel, True),
+        lambda: _ftl_churn(cell_kernel, False),
+    )
     speedup = t_scalar / t_batch
     record_speedup(
         "ftl_backend_churn",

@@ -13,7 +13,7 @@ flash market actually ships.
 
 import numpy as np
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.memory import (
     MlcLevels,
@@ -81,12 +81,9 @@ def test_mlc_staircase_speedup(cell_kernel):
         assert (msb[mask] == want_msb).all()
         assert (lsb[mask] == want_lsb).all()
 
-    t_scalar = best_of(
+    t_scalar, t_batch = best_of_interleaved(
         lambda: _staircase(cell_kernel, program_mlc_page_scalar_reference),
-        repeats=2,
-    )
-    t_batch = best_of(
-        lambda: _staircase(cell_kernel, program_mlc_page_batch)
+        lambda: _staircase(cell_kernel, program_mlc_page_batch),
     )
     speedup = t_scalar / t_batch
     record_speedup(

@@ -14,7 +14,7 @@ path is >= 5x faster on a wide (2048-bit-line) page.
 
 import numpy as np
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.memory import ArrayConfig, build_vector_array
 
@@ -106,8 +106,10 @@ def test_array_backend_speedup(cell_kernel):
         array_scalar.block_erase_counts()
     )
 
-    t_scalar = best_of(lambda: _array_sequence(cell_kernel, True), repeats=2)
-    t_batch = best_of(lambda: _array_sequence(cell_kernel, False))
+    t_scalar, t_batch = best_of_interleaved(
+        lambda: _array_sequence(cell_kernel, True),
+        lambda: _array_sequence(cell_kernel, False),
+    )
     speedup = t_scalar / t_batch
     record_speedup(
         "nand_array_backend",

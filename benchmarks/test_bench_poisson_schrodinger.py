@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.electrostatics import solve_channel_well
 from repro.engine import channel_well_sweep
@@ -66,8 +66,10 @@ def test_channel_well_sweep_speedup():
             atol=1e-12 * float(np.max(np.abs(lane.potential_ev))),
         )
 
-    t_scalar = best_of(lambda: _scalar_sweep(FIELDS), repeats=2)
-    t_batch = best_of(lambda: channel_well_sweep(FIELDS, SHEET_DENSITY))
+    t_scalar, t_batch = best_of_interleaved(
+        lambda: _scalar_sweep(FIELDS),
+        lambda: channel_well_sweep(FIELDS, SHEET_DENSITY),
+    )
     speedup = t_scalar / t_batch
     record_speedup(
         "poisson_schrodinger_channel_well_sweep",

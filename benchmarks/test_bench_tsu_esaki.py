@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import best_of, record_speedup
+from conftest import best_of_interleaved, record_speedup
 
 from repro.tunneling import TsuEsakiModel, TunnelBarrier
 from repro.units import nm_to_m
@@ -58,8 +58,10 @@ def test_tsu_esaki_energy_sweep_speedup(method):
     j_vector = model.current_density_batch(VOLTAGES)
     np.testing.assert_allclose(j_vector, j_scalar, rtol=1e-9)
 
-    t_scalar = best_of(lambda: _scalar_sweep(model))
-    t_vector = best_of(lambda: model.current_density_batch(VOLTAGES))
+    t_scalar, t_vector = best_of_interleaved(
+        lambda: _scalar_sweep(model),
+        lambda: model.current_density_batch(VOLTAGES),
+    )
     speedup = t_scalar / t_vector
     record_speedup(
         f"tsu_esaki_energy_sweep[{method}]",

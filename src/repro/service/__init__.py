@@ -16,7 +16,8 @@ backend:
   with aging, so nothing starves), safe cancellation, finished-job
   eviction (TTL + cap) and per-client token-bucket rate limiting.
 * :class:`JobJournal` (:mod:`repro.service.journal`) -- the
-  write-ahead job journal behind crash-safe restarts: lifecycle
+  write-ahead job journal every :class:`JobManager` and
+  :class:`ServiceApp` runs on (there is no journal-less mode): lifecycle
   transitions land in an append-only JSONL file (``accepted`` fsynced
   before the 202), boot replays it to restore and re-queue jobs, and
   plan-level :class:`LeaseRecord` claims (owner + TTL heartbeat,

@@ -41,8 +41,8 @@ the embedding used by the tests, the example and the CI smoke job; the
 app can also run a periodic background prune (``prune_interval_s``) so
 a long-lived service garbage-collects itself.
 
-Durability: unless constructed with ``journal=None``, the app keeps a
-write-ahead :class:`~repro.service.journal.JobJournal` (default
+Durability: every app keeps a write-ahead
+:class:`~repro.service.journal.JobJournal` (default
 ``<store root>/journal.jsonl``) of every job lifecycle transition.
 :meth:`ServiceApp.start` replays it before serving -- restoring
 terminal job records, re-queueing accepted-but-unfinished jobs (only
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 from typing import Any, Mapping
 
@@ -98,34 +99,24 @@ class ServiceApp:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        seed: int = 0,
-        defaults: "Mapping[str, Any] | None" = None,
-        workers: int = 1,
-        executor: str = "process",
-        max_pending: int = 16,
-        max_concurrent: int = 2,
         rate_per_s: float = 10.0,
         burst: float = 20.0,
-        aging_s: float = 30.0,
-        job_ttl_s: "float | None" = 3600.0,
-        max_records: "int | None" = 1024,
-        shard_timeout_s: "float | None" = None,
-        max_shard_retries: int = 2,
         prune_interval_s: "float | None" = None,
         prune_max_entries: "int | None" = None,
         prune_max_age_s: "float | None" = None,
-        journal: "JobJournal | str | None" = "auto",
-        owner_id: str = "",
-        lease_ttl_s: float = 30.0,
+        journal: "JobJournal | str | os.PathLike[str]" = "journal.jsonl",
         drain_timeout_s: float = 10.0,
+        **job_options: Any,
     ) -> None:
         """Configure the service; nothing binds until :meth:`start`.
 
-        ``journal`` selects the durability layer: the default
-        ``"auto"`` keeps ``journal.jsonl`` inside the store root (so
-        replicas sharing a store directory share the journal), a path
-        puts it elsewhere, and ``None`` disables journaling entirely
-        (the pre-durability in-memory behaviour).
+        ``journal`` is the write-ahead job journal, a
+        :class:`~repro.service.journal.JobJournal` or a path; a
+        relative path is taken inside the store root, so by default
+        replicas sharing a store directory share the journal.
+        ``job_options`` go to :class:`~repro.service.jobs.JobManager`
+        unchanged (``seed``, ``workers``, ``executor``, ``job_ttl_s``,
+        ``owner_id``, ``lease_ttl_s`` and the rest).
         """
         if prune_interval_s is not None and prune_interval_s <= 0:
             raise ConfigurationError(
@@ -138,33 +129,14 @@ class ServiceApp:
         self.store = (
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
-        if journal == "auto":
-            self.journal: "JobJournal | None" = JobJournal(
-                self.store.root / "journal.jsonl"
-            )
-        elif journal is None or isinstance(journal, JobJournal):
-            self.journal = journal
-        else:
-            self.journal = JobJournal(journal)
+        if not isinstance(journal, JobJournal):
+            journal = JobJournal(self.store.root / journal)
+        self.journal = journal
         self.drain_timeout_s = float(drain_timeout_s)
         self.host = host
         self.port = int(port)
         self.manager = JobManager(
-            self.store,
-            seed=seed,
-            defaults=defaults,
-            workers=workers,
-            executor=executor,
-            max_pending=max_pending,
-            max_concurrent=max_concurrent,
-            aging_s=aging_s,
-            job_ttl_s=job_ttl_s,
-            max_records=max_records,
-            shard_timeout_s=shard_timeout_s,
-            max_shard_retries=max_shard_retries,
-            journal=self.journal,
-            owner_id=owner_id,
-            lease_ttl_s=lease_ttl_s,
+            self.store, journal=self.journal, **job_options
         )
         self.limiter = RateLimiter(rate_per_s, burst)
         self.prune_interval_s = prune_interval_s
@@ -182,10 +154,10 @@ class ServiceApp:
         ``port=0`` (the default) binds an ephemeral port -- the return
         value is how callers learn it. When ``prune_interval_s`` is
         set, a background task prunes the store on that period with the
-        configured budgets (live-job hashes always pinned). With a
-        journal attached the manager recovers *before* the socket
-        binds: every previously accepted job answers ``GET /jobs/{id}``
-        from the first request served.
+        configured budgets (live-job hashes always pinned). The manager
+        recovers from the journal *before* the socket binds: every
+        previously accepted job answers ``GET /jobs/{id}`` from the
+        first request served.
         """
         if self._server is not None:
             raise ConfigurationError("service already started")
@@ -216,9 +188,8 @@ class ServiceApp:
     async def stop(self) -> None:
         """Stop accepting, cancel outstanding jobs, release the pool.
 
-        With a journal attached, a clean-shutdown marker is the last
-        entry appended -- the next boot reports ``mode: "clean"``
-        instead of ``"crash"``.
+        A clean-shutdown marker is the last journal entry appended --
+        the next boot reports ``mode: "clean"`` instead of ``"crash"``.
         """
         if self._prune_task is not None:
             self._prune_task.cancel()
@@ -229,8 +200,8 @@ class ServiceApp:
             await self._server.wait_closed()
             self._server = None
         await self.manager.close()
-        if self.journal is not None:
-            self.journal.mark_clean_shutdown()
+        self.journal.mark_clean_shutdown()
+        self.journal.close()
 
     # ----- store GC -------------------------------------------------------
 
@@ -332,11 +303,7 @@ class ServiceApp:
                         "rate_per_s": self.limiter.rate,
                         "burst": self.limiter.capacity,
                     },
-                    "journal": (
-                        None
-                        if self.journal is None
-                        else self.journal.stats()
-                    ),
+                    "journal": self.journal.stats(),
                     "recovery": self.recovery,
                 },
                 {},
@@ -486,12 +453,9 @@ class ServiceApp:
                 )
         plan = from_record(RunPlan, record)
         try:
-            options: "dict[str, Any]" = {}
-            if priority is not None:
-                options["priority"] = priority
-            if timeout_s is not None:
-                options["timeout_s"] = timeout_s
-            job = self.manager.submit(plan, **options)
+            job = self.manager.submit(
+                plan, priority=priority, timeout_s=timeout_s
+            )
         except JobQueueFull as exc:
             return (
                 503,

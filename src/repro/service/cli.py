@@ -35,6 +35,7 @@ import argparse
 import asyncio
 import contextlib
 import json
+import os
 import signal
 import sys
 from typing import Sequence
@@ -55,122 +56,118 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # Options left out stay out of the namespace, so the service keeps
+    # its own defaults; each dest is the keyword the option sets.
     serve = commands.add_parser(
-        "serve", help="run the HTTP service in the foreground"
+        "serve",
+        help="run the HTTP service in the foreground",
+        argument_default=argparse.SUPPRESS,
     )
     serve.add_argument(
         "--store", required=True, help="result store directory (created)"
     )
-    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--host")
     serve.add_argument(
         "--port", type=int, default=8787, help="0 binds an ephemeral port"
     )
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=int)
     serve.add_argument(
         "--workers",
         type=int,
-        default=1,
         help="shard each job across N executor workers",
     )
     serve.add_argument(
         "--executor",
         choices=["process", "thread"],
-        default="process",
         help="worker pool kind for job compute",
     )
     serve.add_argument(
         "--max-pending",
         type=int,
-        default=16,
         help="bounded job queue size (503 beyond it)",
     )
     serve.add_argument(
         "--max-concurrent",
         type=int,
-        default=2,
         help="jobs resolved concurrently",
     )
     serve.add_argument(
         "--rate",
+        dest="rate_per_s",
         type=float,
-        default=10.0,
         help="per-client submissions per second (token refill)",
     )
     serve.add_argument(
         "--burst",
         type=float,
-        default=20.0,
         help="per-client burst budget (token bucket capacity)",
     )
     serve.add_argument(
         "--aging",
+        dest="aging_s",
         type=float,
-        default=30.0,
         help="seconds a waiting job ages one priority class",
     )
     serve.add_argument(
         "--job-ttl",
+        dest="job_ttl_s",
         type=float,
-        default=3600.0,
         help="seconds finished job records are retained (0 disables)",
     )
     serve.add_argument(
         "--max-job-records",
+        dest="max_records",
         type=int,
-        default=1024,
         help="finished job records retained beyond TTL (0 disables)",
     )
     serve.add_argument(
         "--shard-timeout",
+        dest="shard_timeout_s",
         type=float,
-        default=None,
         help="per-shard compute deadline in seconds (off by default)",
     )
     serve.add_argument(
         "--shard-retries",
+        dest="max_shard_retries",
         type=int,
-        default=2,
         help="retries per failed/crashed/timed-out shard",
     )
     serve.add_argument(
         "--prune-interval",
+        dest="prune_interval_s",
         type=float,
-        default=None,
         help="seconds between background store prunes (off by default)",
     )
     serve.add_argument(
         "--prune-max-entries",
         type=int,
-        default=None,
         help="store entry target for the background prune",
     )
     serve.add_argument(
         "--prune-max-age",
+        dest="prune_max_age_s",
         type=float,
-        default=None,
         help="store entry age budget (seconds) for the background prune",
     )
     serve.add_argument(
         "--journal",
-        default="auto",
-        help="write-ahead job journal path; 'auto' keeps it inside the "
-        "store, 'none' disables durability",
+        help="write-ahead job journal path (default: journal.jsonl inside "
+        "the store); the journal is always on",
     )
     serve.add_argument(
         "--owner-id",
-        default="",
         help="lease owner identity (defaults to a per-process id)",
     )
     serve.add_argument(
         "--lease-ttl",
+        dest="lease_ttl_s",
         type=float,
-        default=30.0,
         help="seconds a plan lease lives between heartbeat renewals",
     )
     serve.add_argument(
         "--drain-timeout",
+        dest="drain_timeout_s",
         type=float,
-        default=10.0,
         help="seconds SIGTERM waits for running jobs before cancelling "
         "them (cancelled stragglers re-queue on the next boot)",
     )
@@ -266,38 +263,27 @@ def _parse_priority(raw: "str | None") -> "int | str | None":
 
 async def _serve(args: argparse.Namespace) -> int:
     """Run the service until SIGTERM/SIGINT, then drain and stop."""
-    journal = None if args.journal == "none" else args.journal
-    app = ServiceApp(
-        args.store,
-        host=args.host,
-        port=args.port,
-        seed=args.seed,
-        workers=args.workers,
-        executor=args.executor,
-        max_pending=args.max_pending,
-        max_concurrent=args.max_concurrent,
-        rate_per_s=args.rate,
-        burst=args.burst,
-        aging_s=args.aging,
-        job_ttl_s=args.job_ttl if args.job_ttl > 0 else None,
-        max_records=(
-            args.max_job_records if args.max_job_records > 0 else None
-        ),
-        shard_timeout_s=args.shard_timeout,
-        max_shard_retries=args.shard_retries,
-        prune_interval_s=args.prune_interval,
-        prune_max_entries=args.prune_max_entries,
-        prune_max_age_s=args.prune_max_age,
-        journal=journal,
-        owner_id=args.owner_id,
-        lease_ttl_s=args.lease_ttl,
-        drain_timeout_s=args.drain_timeout,
-    )
+    options = vars(args)
+    del options["command"]
+    journal = options.pop("journal", "auto")  # "auto": the default file
+    if journal == "none":
+        print(
+            "error: --journal none is not supported: the job journal is "
+            "always on (give a path, or omit the flag for the default)",
+            file=sys.stderr,
+        )
+        return 2
+    if journal != "auto":
+        # A relative path names a file from the working directory.
+        options["journal"] = os.path.abspath(journal)
+    for key in ("job_ttl_s", "max_records"):
+        if key in options and options[key] <= 0:
+            options[key] = None
+    app = ServiceApp(options.pop("store"), **options)
     host, port = await app.start()
     print(f"repro-service listening on http://{host}:{port}")
     print(f"store: {app.store.root} ({len(app.store)} results)")
-    if app.recovery is not None:
-        print(f"recovery: {json.dumps(app.recovery)}")
+    print(f"recovery: {json.dumps(app.recovery)}")
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):

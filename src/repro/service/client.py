@@ -59,9 +59,9 @@ class ServiceError(ReproError):
 class JobLostError(ServiceError):
     """A job the service accepted answered 404 while being waited on.
 
-    Pre-durability this meant a service restart dropped the job table;
-    with the journal it should only happen when the journal itself was
-    removed or the id was evicted past the bounded ``expired`` memory.
+    The service journals every job, so this should only happen when
+    the journal itself was removed or the id was evicted past the
+    bounded ``expired`` memory.
     Either way the accepted work is gone, and retrying the poll until
     the wait deadline would just burn it -- so :meth:`
     SimulationServiceClient.wait` raises this typed error instead,

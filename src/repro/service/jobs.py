@@ -43,9 +43,10 @@ lifecycle layer on top:
   are persisted to the store before the job fails
   (:class:`PartialComputeError`), so resubmitting the same plan
   resumes from store hits instead of recomputing everything.
-* **Durability** -- job lifecycle state is a private
-  :class:`~repro.service.journal.JournalState` that changes only
-  through ``JobManager._commit``: journal the entry (the ``accepted``
+* **Durability** -- every manager runs on a write-ahead
+  :class:`~repro.service.journal.JobJournal`. Job lifecycle state is a
+  private :class:`~repro.service.journal.JournalState` that changes
+  only through ``JobManager._commit``: journal the entry (the ``accepted``
   one fsynced before :meth:`JobManager.submit` returns), then fold
   that same entry with :func:`~repro.service.journal.apply`, the
   reducer the journal's own replay uses. :meth:`JobManager.recover`
@@ -69,7 +70,6 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -483,6 +483,7 @@ class JobManager:
         self,
         store: ResultStore,
         *,
+        journal: JobJournal,
         seed: int = 0,
         defaults: "Mapping[str, Any] | None" = None,
         workers: int = 1,
@@ -494,17 +495,16 @@ class JobManager:
         max_records: "int | None" = 1024,
         shard_timeout_s: "float | None" = None,
         max_shard_retries: int = 2,
-        journal: "JobJournal | None" = None,
         owner_id: str = "",
         lease_ttl_s: float = 30.0,
     ) -> None:
-        """Wire the manager to its store and executor configuration.
+        """Wire the manager to its store, journal and executor settings.
 
-        ``journal`` enables the durability layer: lifecycle transitions
-        are written ahead to it and plan-level leases (held as
-        ``owner_id``, renewed every ``lease_ttl_s / 3`` seconds) guard
-        compute against a second replica on the same store directory.
-        ``owner_id`` defaults to a per-process identity.
+        Every lifecycle transition is written ahead to ``journal``, and
+        plan-level leases in it (held as ``owner_id``, renewed every
+        ``lease_ttl_s / 3`` seconds) guard compute against a second
+        replica on the same store directory. ``owner_id`` defaults to a
+        per-process identity.
         """
         if lease_ttl_s <= 0:
             raise ConfigurationError(
@@ -587,13 +587,13 @@ class JobManager:
     ) -> None:
         """Journal one entry, then apply it to the manager's state.
 
-        With a journal attached the entry is on disk (fsynced when
-        ``sync``) before :func:`~repro.service.journal.apply` changes
-        anything, so the write-ahead rule holds by construction
-        (``journaled=False`` is only for :meth:`_finish`'s divergence).
-        Also keeps the lifecycle counters.
+        The entry is on disk (fsynced when ``sync``) before
+        :func:`~repro.service.journal.apply` changes anything, so the
+        write-ahead rule holds by construction (``journaled=False`` is
+        only for :meth:`_finish`'s divergence). Also keeps the
+        lifecycle counters.
         """
-        if self.journal is not None and journaled:
+        if journaled:
             entry = self.journal.append(
                 kind, job_id=job_id, data=data, sync=sync
             )
@@ -669,12 +669,7 @@ class JobManager:
             rank,
             None if timeout_s is None else float(timeout_s),
         )
-        lock = (
-            nullcontext(self.state)
-            if self.journal is None
-            else self.journal.locked()
-        )
-        with lock as shared:
+        with self.journal.locked() as shared:
             seq = max(self.state.max_job_seq, shared.max_job_seq)
             job_id = f"job-{seq + 1}"
             self._commit("accepted", job_id, data, sync=True)
@@ -830,7 +825,7 @@ class JobManager:
         the store, so only work lost with the old process is
         recomputed; their deadlines restart at recovery.
         """
-        replayed = self.journal.refresh() if self.journal else JournalState()
+        replayed = self.journal.refresh()
         mode = "clean" if replayed.clean_shutdown else "crash"
         report: "dict[str, Any]" = {
             "mode": mode if replayed.entries else "fresh",
@@ -840,8 +835,6 @@ class JobManager:
             "corrupt_lines": replayed.corrupt_lines,
         }
         self.last_recovery = report
-        if self.journal is None:
-            return report
         # Leases stay in the journal's shared view, the only one lease
         # arbitration reads.
         self.state = copy.deepcopy(replace(replayed, leases={}))
@@ -888,6 +881,7 @@ class JobManager:
         Always part of shutdown, so jobs cancelled here are treated as
         drain casualties: their ``cancelled`` state is *not* journaled
         as terminal, which is what re-queues them on the next boot.
+        Also closes the journal's read handle (the journal stays usable).
         """
         self._draining = True
         for task in tuple(self._tasks):
@@ -895,6 +889,7 @@ class JobManager:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._compute_pool.shutdown(wait=False, cancel_futures=True)
+        self.journal.close()
 
     # ----- execution ------------------------------------------------------
 
@@ -905,24 +900,21 @@ class JobManager:
         so ``/stats`` counters always reconcile with
         ``jobs_by_status``. A cancellation arriving from the deadline
         watchdog (``job.timed_out``) lands in ``timeout`` rather than
-        ``cancelled``. With a journal attached, the plan lease is held
-        across the resolve (heartbeat renewals keep it alive past its
-        TTL) and released before the terminal entry is written.
+        ``cancelled``. The plan lease is held across the resolve
+        (heartbeat renewals keep it alive past its TTL) and released
+        before the terminal entry is written.
         """
         acquired = False
-        leased = False
         heartbeat: "asyncio.Task | None" = None
         outcome: "tuple[str, str | None] | None" = None
         try:
             await self._gate.acquire(job.priority)
             acquired = True
             self._commit("running", job.id)
-            if self.journal is not None:
-                leased = await self._acquire_plan_lease(job)
-                if leased:
-                    heartbeat = asyncio.get_running_loop().create_task(
-                        self._lease_heartbeat(job)
-                    )
+            await self._acquire_plan_lease(job)
+            heartbeat = asyncio.get_running_loop().create_task(
+                self._lease_heartbeat(job)
+            )
             await self._resolve(job)
             outcome = ("done", None)
         except asyncio.CancelledError:
@@ -937,7 +929,6 @@ class JobManager:
         finally:
             if heartbeat is not None:
                 heartbeat.cancel()
-            if leased and self.journal is not None:
                 self.journal.release_lease(job.plan_hash, self.owner_id)
             if outcome is not None:
                 self._finish(job, *outcome)
@@ -948,7 +939,7 @@ class JobManager:
             if acquired:
                 self._gate.release()
 
-    async def _acquire_plan_lease(self, job: Job) -> bool:
+    async def _acquire_plan_lease(self, job: Job) -> None:
         """Block until this owner holds the job's plan lease.
 
         Polls :meth:`~repro.service.journal.JobJournal.acquire_lease`
@@ -957,13 +948,12 @@ class JobManager:
         adopted as soon as it expires; a live one keeps renewing and
         keeps us waiting, which is exactly the double-run prevention.
         """
-        assert self.journal is not None
         while True:
             holder = self.journal.acquire_lease(
                 job.plan_hash, self.owner_id, job.id, self.lease_ttl_s
             )
             if holder.owner_id == self.owner_id:
-                return True
+                return
             self.counters["lease_waits"] += 1
             wait = min(
                 self.lease_ttl_s,
@@ -973,7 +963,6 @@ class JobManager:
 
     async def _lease_heartbeat(self, job: Job) -> None:
         """Renew the job's plan lease every third of its TTL."""
-        assert self.journal is not None
         interval = max(0.05, self.lease_ttl_s / 3.0)
         while True:
             await asyncio.sleep(interval)

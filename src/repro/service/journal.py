@@ -51,7 +51,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, BinaryIO, Iterator, Mapping
 
 from ..errors import ConfigurationError
 
@@ -227,6 +227,18 @@ def payload(kind: str, *values: Any) -> "dict[str, Any]":
     return dict(zip(PAYLOADS[kind], values, strict=True))
 
 
+def _may_claim(
+    holder: "LeaseRecord | None", owner_id: str, at: float
+) -> bool:
+    """The claim rule: no holder, the same owner, or one expired at ``at``."""
+    return holder is None or holder.owner_id == owner_id or holder.expired(at)
+
+
+def _holds(holder: "LeaseRecord | None", owner_id: str) -> bool:
+    """Whether ``owner_id`` holds the lease (what renew and release need)."""
+    return holder is not None and holder.owner_id == owner_id
+
+
 def apply(state: JournalState, entry: JournalEntry) -> JournalState:
     """Fold one entry into ``state`` (in place) and return it.
 
@@ -287,11 +299,7 @@ def apply(state: JournalState, entry: JournalEntry) -> JournalState:
         owner_id = str(data.get("owner_id", ""))
         holder = state.leases.get(plan_hash)
         if kind == "lease-claim":
-            if (
-                holder is None
-                or holder.owner_id == owner_id
-                or holder.expired(entry.at)
-            ):
+            if _may_claim(holder, owner_id, entry.at):
                 state.leases[plan_hash] = LeaseRecord(
                     plan_hash=plan_hash,
                     owner_id=owner_id,
@@ -299,7 +307,7 @@ def apply(state: JournalState, entry: JournalEntry) -> JournalState:
                     acquired_at=entry.at,
                     expires_at=float(data.get("expires_at", 0.0)),
                 )
-        elif holder is not None and holder.owner_id == owner_id:
+        elif _holds(holder, owner_id):
             if kind == "lease-renew":
                 state.leases[plan_hash] = replace(
                     holder, expires_at=float(data.get("expires_at", 0.0))
@@ -332,7 +340,6 @@ class JobJournal:
         self,
         path: "str | Path",
         *,
-        fsync_on_accept: bool = True,
         compact_every: int = 512,
         expired_cap: int = 4096,
     ) -> None:
@@ -342,12 +349,12 @@ class JobJournal:
                 f"compact_every must be >= 1, got {compact_every}"
             )
         self.path = Path(path)
-        self.fsync_on_accept = bool(fsync_on_accept)
         self.compact_every = int(compact_every)
         self.expired_cap = int(expired_cap)
         self.compactions = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._since_compact = 0
+        self._reader: "BinaryIO | None" = None
         self.replay()
 
     # ----- reading --------------------------------------------------------
@@ -360,28 +367,43 @@ class JobJournal:
         ``state.corrupt_lines`` and skipped rather than aborting the
         boot -- a damaged journal recovers what it can.
         """
+        self._fold_from(None)
+        return self.refresh()
+
+    def _fold_from(self, reader: "BinaryIO | None") -> None:
+        """Fold ``reader`` from its top, closing the handle it replaces."""
+        self.close()
+        self._reader = reader
         self.state = JournalState(expired_cap=self.expired_cap)
         self._offset = 0
-        return self.refresh()
+
+    def close(self) -> None:
+        """Close the read handle; the next read refolds from the top."""
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
 
     def refresh(self) -> JournalState:
         """Fold entries appended (by anyone) since the last read.
 
-        Detects a compacted-by-another-process file (shrunk beneath our
-        read offset) and refolds from the top; folding is deterministic
-        from file content, so the rebuild is idempotent.
+        Reads through a handle it keeps open: when another writer has
+        compacted (``os.replace``) the file, the path names a different
+        inode than our handle -- which keeps the old inode alive, so its
+        number cannot be reused -- and the new file is folded from the
+        top. Folding is deterministic, so the rebuild is idempotent.
         """
-        if not self.path.exists():
+        try:
+            on_disk = os.stat(self.path)
+        except FileNotFoundError:
             return self.state
-        size = self.path.stat().st_size
-        if size < self._offset:
-            # Another process compacted (os.replace) under us.
-            return self.replay()
-        if size == self._offset:
+        if self._reader is None or not os.path.samestat(
+            on_disk, os.fstat(self._reader.fileno())
+        ):
+            self._fold_from(open(self.path, "rb"))
+        elif on_disk.st_size == self._offset:
             return self.state
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            chunk = handle.read()
+        self._reader.seek(self._offset)
+        chunk = self._reader.read()
         # A crash mid-append can leave a partial trailing line; leave
         # it unread (the offset stays before it) so a later append by
         # its writer -- impossible after a crash -- or our own next
@@ -441,7 +463,7 @@ class JobJournal:
         )
         try:
             os.write(fd, _line(entry).encode("utf-8"))
-            if sync and self.fsync_on_accept:
+            if sync:
                 os.fsync(fd)
         finally:
             os.close(fd)
@@ -551,6 +573,7 @@ class JobJournal:
                 handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
+            reader = open(tmp_name, "rb")
             os.replace(tmp_name, self.path)
         except BaseException:
             try:
@@ -558,6 +581,8 @@ class JobJournal:
             except OSError:
                 pass
             raise
+        self._fold_from(reader)
+        self.state = state  # what the new file folds to
         self._offset = len(text.encode("utf-8"))
         self._since_compact = 0
         self.compactions += 1
@@ -580,22 +605,18 @@ class JobJournal:
         """Try to claim a plan hash; returns the *current* holder.
 
         Refreshes first (so foreign claims are visible), appends our
-        claim only when the table says we may (no holder, expired
-        holder, or ourselves), then refreshes again and returns
-        whoever the log says holds the lease -- the caller checks
-        ``holder.owner_id`` to learn whether it won. Log order
-        arbitrates ties between racing claimants.
+        claim only when the claim rule that :func:`apply` enforces lets
+        us, then refreshes again and returns whoever the log says holds
+        the lease -- the caller checks ``holder.owner_id`` to learn
+        whether it won. Log order arbitrates ties between racing
+        claimants.
         """
         if ttl_s <= 0:
             raise ConfigurationError(f"ttl_s must be > 0, got {ttl_s}")
         now = time.time() if now is None else now
         self.refresh()
         holder = self.state.leases.get(plan_hash)
-        if (
-            holder is not None
-            and holder.owner_id != owner_id
-            and not holder.expired(now)
-        ):
+        if not _may_claim(holder, owner_id, now):
             return holder
         self.append(
             "lease-claim",
@@ -619,7 +640,7 @@ class JobJournal:
         now = time.time() if now is None else now
         self.refresh()
         holder = self.state.leases.get(plan_hash)
-        if holder is None or holder.owner_id != owner_id:
+        if not _holds(holder, owner_id):
             return None
         self.append(
             "lease-renew",
@@ -635,18 +656,13 @@ class JobJournal:
         """Release a lease we hold (a no-op if we do not)."""
         self.refresh()
         holder = self.state.leases.get(plan_hash)
-        if holder is None or holder.owner_id != owner_id:
+        if not _holds(holder, owner_id):
             return
         self.append(
             "lease-release",
             job_id=holder.job_id,
             data=payload("lease-release", plan_hash, owner_id),
         )
-
-    def current_lease(self, plan_hash: str) -> "LeaseRecord | None":
-        """The live holder of a plan hash after a refresh, if any."""
-        self.refresh()
-        return self.state.leases.get(plan_hash)
 
     # ----- reporting ------------------------------------------------------
 

@@ -128,12 +128,13 @@ _EDGE_EPSILON_J = 1.602176634e-28
 def _wavevector(energy_j: float, potential_j: float, mass_kg: float) -> complex:
     """Complex wavevector ``k = sqrt(2m(E - V))/hbar`` (evanescent if E < V).
 
-    Energies exactly at a band edge (E == V) give k = 0, which breaks
-    the interface matching; they are nudged by one nano-eV, a
-    measure-zero regularisation that keeps T(E) continuous.
+    Energies at a band edge (|E - V| below one nano-eV, which covers
+    E == V and slabs a rounding error away from it) give k ~ 0, which
+    breaks the interface matching; they are set to one nano-eV above
+    the edge, a regularisation that keeps T(E) continuous.
     """
     delta = energy_j - potential_j
-    if delta == 0.0:
+    if abs(delta) < _EDGE_EPSILON_J:
         delta = _EDGE_EPSILON_J
     return cmath.sqrt(2.0 * mass_kg * complex(delta)) / HBAR
 
@@ -147,7 +148,7 @@ def _wavevector_array(
     batch lanes stay bit-comparable with per-energy calls.
     """
     delta = energies_j - potential_j
-    delta = np.where(delta == 0.0, _EDGE_EPSILON_J, delta)
+    delta = np.where(np.abs(delta) < _EDGE_EPSILON_J, _EDGE_EPSILON_J, delta)
     return np.sqrt(2.0 * mass_kg * delta.astype(complex)) / HBAR
 
 

@@ -313,7 +313,9 @@ class TestRateLimitAndQueue:
         monkeypatch.setattr(
             app.manager,
             "submit",
-            lambda plan: (_ for _ in ()).throw(JobQueueFull("queue full")),
+            lambda plan, **options: (_ for _ in ()).throw(
+                JobQueueFull("queue full")
+            ),
         )
         body = json.dumps(to_record(_plan())).encode()
         with ServiceThread(app) as thread:

@@ -11,6 +11,12 @@ journaled terminal twice, only a client's cancel may leave a job
 ``cancelled`` (shutdown's cancellations re-queue), a reboot must
 report how the previous life ended, and every finished job's results
 must be bit-identical to a serial session.
+
+A second machine runs two managers -- two replicas -- on one journal
+file and one store, as the lease tests build them. No accepted id may
+ever be handed out twice or bound to a second plan hash, and after
+both replicas crash and reboot every client's job must still answer,
+on both replicas, with the plan that client submitted.
 """
 
 import asyncio
@@ -190,3 +196,112 @@ JobLifecycle.TestCase.settings = settings(
     suppress_health_check=(HealthCheck.too_slow,),
 )
 TestJobLifecycle = JobLifecycle.TestCase
+
+
+class TwoReplicas(RuleBasedStateMachine):
+    """Two managers submitting to, and crashing over, one journal."""
+
+    OWNERS = ("owner-a", "owner-b")
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="job-model-replicas-"))
+        self.path = self.root / "journal.jsonl"
+        self.loop = asyncio.new_event_loop()
+        self.bound = {}  # accepted job id -> the plan hash it answers
+        self.submitted_to = {}  # accepted job id -> the replica it went to
+        self.known_to_both = set()  # ids accepted before a crash of both
+        self.managers = self._boot()
+
+    def _run(self, coro):
+        return self.loop.run_until_complete(coro)
+
+    def _boot(self):
+        store = ResultStore(self.root / "store")
+        managers = {}
+        for owner in self.OWNERS:
+            managers[owner] = JobManager(
+                store,
+                executor="thread",
+                workers=1,
+                max_pending=64,
+                job_ttl_s=None,
+                max_records=None,
+                journal=JobJournal(self.path, compact_every=5),
+                owner_id=owner,
+                # Both replicas re-run the jobs a crash left open; a short
+                # TTL keeps the loser's wait for the winner's lease short.
+                lease_ttl_s=0.5,
+            )
+            self._run(managers[owner].recover())
+        return managers
+
+    async def _settle(self):
+        tasks = [t for m in self.managers.values() for t in m._tasks]
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+    async def _close(self):
+        for manager in self.managers.values():
+            await manager.close()
+
+    # ----- rules ----------------------------------------------------------
+
+    @rule(owner=st.sampled_from(OWNERS), n_points=st.sampled_from(N_POINTS))
+    def submit(self, owner, n_points):
+        async def go():
+            return self.managers[owner].submit(_plan(n_points))
+
+        job = self._run(go())
+        assert job.id not in self.bound, f"{job.id} handed out twice"
+        self.bound[job.id] = job.plan_hash
+        self.submitted_to[job.id] = owner
+
+    @rule()
+    def settle(self):
+        self._run(self._settle())
+
+    @rule()
+    def crash_both(self):
+        self._run(self._close())
+        self.managers = self._boot()
+        self.known_to_both = set(self.bound)
+
+    # ----- invariants -----------------------------------------------------
+
+    @invariant()
+    def no_id_is_rebound(self):
+        lines = self.path.read_text().splitlines()
+        for entry in map(json.loads, lines):
+            if entry["kind"] == "accepted":
+                job_id = entry["job_id"]
+                assert entry["data"]["plan_hash"] == self.bound[job_id], job_id
+
+    @invariant()
+    def every_job_answers_with_its_own_plan(self):
+        for job_id, plan_hash in self.bound.items():
+            owners = (
+                self.OWNERS
+                if job_id in self.known_to_both
+                else (self.submitted_to[job_id],)
+            )
+            for owner in owners:
+                record = self.managers[owner].record_of(job_id)
+                assert record is not None, (owner, job_id)
+                assert record.plan_hash == plan_hash, (owner, job_id)
+
+    def teardown(self):
+        try:
+            self._run(self._settle())
+        finally:
+            self._run(self._close())
+            self.loop.close()
+            shutil.rmtree(self.root, ignore_errors=True)
+
+
+TwoReplicas.TestCase.settings = settings(
+    max_examples=40,
+    stateful_step_count=15,
+    deadline=None,
+    suppress_health_check=(HealthCheck.too_slow,),
+)
+TestTwoReplicas = TwoReplicas.TestCase

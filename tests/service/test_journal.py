@@ -297,10 +297,10 @@ class TestLeases:
         ours = JobJournal(path)
         theirs = JobJournal(path)
         theirs.acquire_lease("ph-1", "owner-b", "job-9", ttl_s=60)
-        lease = ours.current_lease("ph-1")
+        lease = ours.refresh().leases.get("ph-1")
         assert lease is not None
         assert lease.owner_id == "owner-b"
-        assert ours.current_lease("ph-other") is None
+        assert ours.refresh().leases.get("ph-other") is None
 
 
 class TestSharedFile:
@@ -327,6 +327,24 @@ class TestSharedFile:
         ours.refresh()
         assert "job-99" in ours.state.jobs
         assert ours.state.jobs["job-5"].status == "done"
+
+    def test_foreign_compaction_into_a_longer_file_triggers_a_refold(
+        self, tmp_path
+    ):
+        path = tmp_path / "journal.jsonl"
+        ours = JobJournal(path)
+        ours.append("boot", data={"owner_id": "owner-a"})
+        read = path.stat().st_size
+        theirs = JobJournal(path)
+        _accept(theirs, "job-1")
+        _accept(theirs, "job-2")
+        theirs.compact()
+        # The rewritten file is longer than what we read of the old one,
+        # so only its identity tells that our offset is stale.
+        assert path.stat().st_size > read
+        ours.refresh()
+        assert sorted(ours.state.jobs) == ["job-1", "job-2"]
+        assert ours.state.corrupt_lines == 0
 
     def test_stats_shape(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.jsonl")

@@ -293,21 +293,6 @@ class TestManagerRecovery:
 
         assert _run(scenario()) is False
 
-    def test_no_journal_recover_is_a_noop(self, tmp_path):
-        async def scenario():
-            manager = _manager(tmp_path, journal=None)
-            try:
-                report = await manager.recover()
-                job = manager.submit(_plan())
-                await asyncio.gather(*manager._tasks)
-                return report, job.record()
-            finally:
-                await manager.close()
-
-        report, record = _run(scenario())
-        assert report["mode"] == "fresh"
-        assert record.status == "done"
-
 
 class TestLeases:
     def test_rival_owner_waits_then_rides_the_store(
@@ -491,33 +476,15 @@ class TestAppRecovery:
         expected = scenario_hash(_plan().expanded()[0])
         assert record.scenario_hashes == (expected,)
 
-    def test_journal_none_disables_durability(self, tmp_path):
-        store_dir = tmp_path / "store"
+    def test_serve_journal_none_exits_2(self, tmp_path, monkeypatch, capsys):
+        from repro.service.cli import main
 
-        async def first_life():
-            app = ServiceApp(
-                str(store_dir), executor="thread", journal=None
-            )
-            await app.start()
-            job = app.manager.submit(_plan())
-            await asyncio.gather(*app.manager._tasks)
-            await app.stop()
-            return job.id
-
-        job_id = _run(first_life())
-        assert not (store_dir / "journal.jsonl").exists()
-
-        async def second_life():
-            app = ServiceApp(
-                str(store_dir), executor="thread", journal=None
-            )
-            await app.start()
-            try:
-                return app.manager.record_of(job_id)
-            finally:
-                await app.stop()
-
-        assert _run(second_life()) is None
+        monkeypatch.chdir(tmp_path)
+        argv = ["serve", "--store", "store", "--port", "0", "--journal", "none"]
+        assert main(argv) == 2
+        assert "always on" in capsys.readouterr().err
+        # Neither a journal file named "none" nor the store was made.
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_bad_drain_timeout_rejected(self, tmp_path):
         with pytest.raises(Exception):

@@ -19,6 +19,7 @@ from repro.api import RunPlan, Scenario
 from repro.api.plan import ShardFailure
 from repro.errors import ConfigurationError
 from repro.service import (
+    JobJournal,
     JobManager,
     PartialComputeError,
     ResultStore,
@@ -40,6 +41,7 @@ def _plan(n_points=6, experiment="fig6"):
 def _manager(tmp_path, **kwargs):
     kwargs.setdefault("executor", "thread")
     kwargs.setdefault("workers", 1)
+    kwargs.setdefault("journal", JobJournal(tmp_path / "journal.jsonl"))
     return JobManager(ResultStore(tmp_path / "store"), **kwargs)
 
 

@@ -174,7 +174,7 @@ class TestPinnedBytes:
         ), BUMP
 
     def test_job_record_http_body(self, tmp_path):
-        app = ServiceApp(tmp_path / "store", journal=None, executor="thread")
+        app = ServiceApp(tmp_path / "store", executor="thread")
         app.manager.record_of = lambda job_id: _job_record()
         status, body = _http_body(app, "GET", "/jobs/job-7")
         assert status == 200
@@ -183,7 +183,7 @@ class TestPinnedBytes:
         ), BUMP
 
     def test_store_record_http_body(self, stored):
-        app = ServiceApp(stored, journal=None, executor="thread")
+        app = ServiceApp(stored, executor="thread")
         status, body = _http_body(app, "GET", f"/results/{HASH}")
         assert status == 200
         assert _sha(body) == (
